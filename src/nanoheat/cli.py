@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -92,13 +90,6 @@ def _family_from_args(args) -> nano.EpsilonFamily:
     return nano.EpsilonFamily.exponential()
 
 
-def _case_label(e_gap, beta_c, beta_h) -> str:
-    ind = nano.tanh_indicator(e_gap, beta_c, beta_h)
-    if abs(ind - 2.0) <= 1e-12:
-        return nano.CASE_EQ2
-    return nano.CASE_GT2 if ind > 2.0 else nano.CASE_LT2
-
-
 def _sweep_point(e_gap, t_hot, t_cold, g, family):
     """One CSV row; out-of-regime points keep the sweep variable and a flag."""
     out_of_regime = [None, None, None, OUT_OF_REGIME, None, None, None]
@@ -108,12 +99,13 @@ def _sweep_point(e_gap, t_hot, t_cold, g, family):
     if not beta_c > beta_h or g >= beta_c - beta_h:
         return out_of_regime
     om = nano.omega_single(e_gap, beta_c, beta_h)
-    eta_nano = 1.0 / (1.0 + beta_h / (beta_c - beta_h) * max(1.0, om))
-    eta_carnot = 1.0 - beta_h / beta_c
+    eta_nano = nano.quasistatic_efficiency(beta_c, beta_h, max(1.0, om))
+    eta_carnot = nano.carnot_efficiency(beta_c, beta_h)
     eps = family.eval(g)
     inst = quasi_static_instance(EnergySpectrum((0.0, e_gap)), beta_c, beta_h, g, eps)
     w_ext = second_laws.max_extractable_work(inst).w_ext
-    return [om, eta_nano, eta_carnot, _case_label(e_gap, beta_c, beta_h), w_ext, g, eps]
+    label = nano.case_label(nano.tanh_indicator(e_gap, beta_c, beta_h))
+    return [om, eta_nano, eta_carnot, label, w_ext, g, eps]
 
 
 def _cmd_sweep(args) -> int:
@@ -140,12 +132,7 @@ def _cmd_sweep(args) -> int:
             row = _sweep_point(args.e_min, x, args.t_cold, args.g, family)
         return [float(x)] + row
 
-    jobs = max(1, args.jobs)
-    if jobs == 1:
-        rows = [point(x) for x in values]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(point, values))  # assembled in sweep order
+    rows = [point(x) for x in values]
     write_csv(rows, SWEEP_HEADER, args.output)
     valid = sum(1 for r in rows if r[4] != OUT_OF_REGIME)
     print(f"sweep {args.mode}: {len(rows)} points ({valid} in regime) -> {args.output}")
@@ -208,7 +195,7 @@ def _cmd_classify(args) -> int:
     if beta_c <= beta_h:
         raise _CliError("need t_cold < t_hot")
     cls = nano.classify_regime(args.e, beta_c, beta_h)
-    carnot = 1.0 - beta_h / beta_c
+    carnot = nano.carnot_efficiency(beta_c, beta_h)
     print(
         f"omega={cls.omega:.12g} indicator={cls.tanh_indicator:.12g} case={cls.g_case} "
         f"carnot_achievable={cls.carnot_achievable} eta={cls.eta_quasistatic:.12g} "
@@ -289,7 +276,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--hi", type=float)
     p.add_argument("--steps", type=int)
     p.add_argument("--g", type=float, default=1e-5)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted; points run in order")
     p.add_argument("--output")
     add_family(p)
     p.set_defaults(func=_cmd_sweep)
@@ -376,9 +363,6 @@ def run_command(argv) -> int:
             if unknown:
                 raise _CliError(f"unknown config keys: {sorted(unknown)}")
         args = parser.parse_args(argv)
-        # every current subcommand is deterministic; randomized checks live in
-        # the test suite and draw their seeds from NANOHEAT_SEED themselves
-        args.seed = int(os.environ.get("NANOHEAT_SEED", "0"))
         return args.func(args)
     except _CliError as exc:
         print(f"config error: {exc}", file=sys.stderr)

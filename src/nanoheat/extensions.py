@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericalInconsistencyError, ParameterError, RegimeError
 from .second_laws import BatterySpec, TransitionInstance
-from .nano import omega_single
+from .nano import carnot_efficiency, omega_single, quasistatic_efficiency
 from .thermo import (
     DiagonalState,
     EnergySpectrum,
@@ -242,8 +242,8 @@ def correlated_bound_check(
     d_cold = float(
         state_moments(cold_final)[0] - state_moments(cold_initial)[0]
     )
-    eta_reduced = 1.0 / (1.0 + beta_h / (beta_c - beta_h) * om)
-    eta_carnot = 1.0 - beta_h / beta_c
+    eta_reduced = quasistatic_efficiency(beta_c, beta_h, om)
+    eta_carnot = carnot_efficiency(beta_c, beta_h)
     etas = []
     for _ in range(samples):
         machine = DiagonalState(tuple(rng.dirichlet(np.ones(2))), machine_spec)
@@ -312,13 +312,7 @@ def general_battery_pair(inst: TransitionInstance, gb: GeneralBattery) -> Genera
     eps = inst.battery.eps
     if eps <= 0:
         raise ParameterError("the comparison needs eps > 0")
-    q = thermal_state(inst.spectrum, inst.beta_h)
-    p, pp, qa = inst.cold_initial.array, inst.cold_final.array, q.array
-    sp, spp = p > 0, pp > 0
-    delta_inf = inst.copies * (
-        float(np.max(np.log(p[sp]) - np.log(qa[sp])))
-        - float(np.max(np.log(pp[spp]) - np.log(qa[spp])))
-    )
+    delta_inf = inst._log_terms.dinf_drop
     w_simple = (delta_inf - math.log1p(-eps)) / inst.beta_h
 
     levels = gb.base.levels.array
@@ -327,10 +321,7 @@ def general_battery_pair(inst: TransitionInstance, gb: GeneralBattery) -> Genera
     active = junk > 0
     junk_peak = float(np.max(np.log(junk[active]) + inst.beta_h * (levels[active] - e_j)))
     junk_branch = math.log(eps) + junk_peak > delta_inf
-    if junk_branch:
-        w_general = math.nan
-    else:
-        w_general = (delta_inf - math.log1p(-eps)) / inst.beta_h
+    w_general = math.nan if junk_branch else w_simple
     threshold = eps_hat(inst.beta_h, gb.base.e_max, e_j)
     if eps <= threshold and junk_branch and w_simple >= 0:
         raise NumericalInconsistencyError(

@@ -14,7 +14,7 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from .errors import ParameterError, RegimeError
-from .second_laws import BatterySpec, TransitionInstance, w_alpha
+from .second_laws import BatterySpec, TransitionInstance, _bisect, w_alpha
 from .thermo import (
     Alpha,
     DiagonalState,
@@ -27,9 +27,6 @@ from .thermo import (
 
 #: Central finite-difference step; balances truncation against round-off.
 FD_STEP = 1e-5
-
-#: Iterations for the inverse-temperature bisection (monotone target).
-BISECT_ITERS = 80
 
 
 @dataclass(frozen=True)
@@ -122,15 +119,9 @@ def find_beta_for_mean_shift(
         raise ParameterError(
             f"target shift {delta_c_target} exceeds the reachable {reach} on this bracket"
         )
-    lo, hi = beta_h, beta_c  # shift decreases from `reach` at lo to 0 at hi
     base = _mean_energy(spectrum, beta_c)
-    for _ in range(BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if _mean_energy(spectrum, mid) - base > delta_c_target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # the shift decreases from `reach` at beta_h to 0 at beta_c
+    return _bisect(lambda b: _mean_energy(spectrum, b) - base > delta_c_target, beta_h, beta_c)
 
 
 def thermal_optimality_check(

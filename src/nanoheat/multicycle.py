@@ -12,7 +12,7 @@ from typing import Sequence, Tuple
 
 from .errors import ParameterError, RegimeError
 from .macro import efficiency_breakdown, quasi_static_instance
-from .nano import EpsilonFamily, gamma, omega_single
+from .nano import EpsilonFamily, carnot_efficiency, gamma, omega_single
 from .thermo import EnergySpectrum, binary_entropy
 
 #: Default cycle-count schedule for convergence reports (desk-scale runtime).
@@ -99,9 +99,8 @@ def plan_cycles(
 
 def run_cycles(ledger: CycleLedger) -> CycleReport:
     """Convergence gaps for the four corollary items of one planned run."""
-    eta_carnot = 1.0 - ledger.beta_h / ledger.beta_c
     return CycleReport(
-        eta_gap=float(eta_carnot - ledger.eta),
+        eta_gap=float(carnot_efficiency(ledger.beta_c, ledger.beta_h) - ledger.eta),
         work_gap=float(ledger.w_target - ledger.w_cyc),
         battery_entropy=float(ledger.battery_entropy),
         top_weight_gap=float(1.0 - ledger.r),

@@ -21,7 +21,7 @@ from .errors import (
     RegimeError,
 )
 from .macro import efficiency_breakdown, quasi_static_instance
-from .second_laws import Alpha, max_extractable_work
+from .second_laws import Alpha, _bisect, max_extractable_work
 from .thermo import EnergySpectrum, QubitBath, binary_entropy, thermal_state
 
 #: gamma grid used by the endpoint-dichotomy check: 1e4 log-spaced points.
@@ -316,15 +316,10 @@ def g_function(e_gap: float, beta_c: float, beta_h: float, alpha) -> np.ndarray 
     return float(out[0]) if scalar else out
 
 
-def _bisect_root(f, lo: float, hi: float, iters: int = 100) -> float:
-    flo = f(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if (f(mid) > 0) == (flo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _bisect_root(f, lo: float, hi: float) -> float:
+    """Sign change of f in [lo, hi]: the root lies above x while f(x) has f(lo)'s sign."""
+    positive_at_lo = f(lo) > 0
+    return _bisect(lambda x: (f(x) > 0) == positive_at_lo, lo, hi)
 
 
 #: Case labels for the sign pattern of the derivative of gamma.
@@ -336,6 +331,27 @@ CASE_EQ2 = "CASE_EQ2"
 #: when checking sign-pattern consistency (roots migrate into the order-1
 #: seam as the indicator approaches 2).
 _CASE_BOUNDARY_TOL = 1e-2
+
+
+def case_label(indicator: float) -> str:
+    """The sign-pattern case of a tanh indicator: its side of 2, or 2 itself."""
+    if abs(indicator - 2.0) <= 1e-12:
+        return CASE_EQ2
+    return CASE_GT2 if indicator > 2.0 else CASE_LT2
+
+
+def carnot_efficiency(beta_c: float, beta_h: float) -> float:
+    """1 - beta_h/beta_c, the Carnot efficiency between the two baths."""
+    return 1.0 - beta_h / beta_c
+
+
+def quasistatic_efficiency(beta_c: float, beta_h: float, gamma_1: float, gamma_target: float = 1.0) -> float:
+    """1 / (1 + beta_h/(beta_c-beta_h) * gamma(1)/gamma(target)).
+
+    The classifier passes max(1, Omega) as ``gamma_1`` with the default target
+    of 1, which is the same ratio; dividing by 1 is exact.
+    """
+    return 1.0 / (1.0 + beta_h / (beta_c - beta_h) * gamma_1 / gamma_target)
 
 
 @dataclass(frozen=True)
@@ -359,13 +375,8 @@ def classify_regime(e_gap: float, beta_c: float, beta_h: float) -> RegimeClassif
     """
     om = omega_single(e_gap, beta_c, beta_h)
     ind = tanh_indicator(e_gap, beta_c, beta_h)
-    if abs(ind - 2.0) <= 1e-12:
-        case = CASE_EQ2
-    elif ind > 2.0:
-        case = CASE_GT2
-    else:
-        case = CASE_LT2
-    eta = 1.0 / (1.0 + beta_h / (beta_c - beta_h) * max(1.0, om))
+    case = case_label(ind)
+    eta = quasistatic_efficiency(beta_c, beta_h, max(1.0, om))
 
     grid = np.geomspace(1e-3, DICHOTOMY_GRID_MAX, 400)
     grid = grid[(grid < 0.98) | (grid > 1.02)]  # the exact zero at 1 is not a sign change
@@ -538,9 +549,7 @@ def quasistatic_engine(cfg: QuasiStaticConfig) -> QuasiStaticResult:
         gamma_target = gamma_infinity(e_gap, cfg.beta_c, cfg.beta_h)
     w_pred = cfg.g * n / cfg.beta_h * gamma_target
     eta_pred = (
-        1.0 / (1.0 + cfg.beta_h / (cfg.beta_c - cfg.beta_h) * g1 / gamma_target)
-        if gamma_target > 0
-        else 0.0
+        quasistatic_efficiency(cfg.beta_c, cfg.beta_h, g1, gamma_target) if gamma_target > 0 else 0.0
     )
 
     spectrum = EnergySpectrum((0.0, e_gap))

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from functools import cached_property
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -84,6 +85,21 @@ class BatterySpec:
         return self.levels.levels[-1]
 
 
+class _LogTerms(NamedTuple):
+    """Logs of p, p' and the hot Gibbs state q on the supports of p and p'."""
+
+    lp: np.ndarray
+    lq: np.ndarray
+    lpp: np.ndarray
+    lqq: np.ndarray
+    dinf_drop: float  # copies * (D_inf(p||q) - D_inf(p'||q))
+
+
+class _D1Terms(NamedTuple):
+    d1_drop: float  # copies * (D1(p||q) - D1(p'||q))
+    half_var_drop: float  # copies * (V(p||q) - V(p'||q)) / 2
+
+
 @dataclass(frozen=True)
 class TransitionInstance:
     """One work-extraction problem: cold bath start/end, temperatures, battery.
@@ -91,6 +107,10 @@ class TransitionInstance:
     ``copies`` treats the cold states as per-qubit marginals of that many
     identical, independently transformed copies; divergences are additive so
     the composite never has to be materialized.
+
+    The divergence terms every work formula reads are built once per instance,
+    on first use, as two records: the support logs never raise, while the
+    relative-entropy terms raise DomainError when q underflows on the support.
     """
 
     cold_initial: DiagonalState
@@ -114,6 +134,24 @@ class TransitionInstance:
     @property
     def spectrum(self) -> EnergySpectrum:
         return self.cold_initial.spectrum
+
+    @cached_property
+    def _log_terms(self) -> _LogTerms:
+        q = thermal_state(self.spectrum, self.beta_h).array
+        p, pp = self.cold_initial.array, self.cold_final.array
+        sp, spp = p > 0, pp > 0
+        lp, lq = np.log(p[sp]), np.log(q[sp])
+        lpp, lqq = np.log(pp[spp]), np.log(q[spp])
+        dinf_drop = self.copies * (float(np.max(lp - lq)) - float(np.max(lpp - lqq)))
+        return _LogTerms(lp, lq, lpp, lqq, dinf_drop)
+
+    @cached_property
+    def _d1_terms(self) -> _D1Terms:
+        q = thermal_state(self.spectrum, self.beta_h)
+        d1p, vp = kl_divergence_and_variance(self.cold_initial, q)
+        d1pp, vpp = kl_divergence_and_variance(self.cold_final, q)
+        n = self.copies
+        return _D1Terms(n * (d1p - d1pp), n * (vp - vpp) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -157,41 +195,27 @@ class PerfectWorkCertificate:
 # W_alpha
 # ---------------------------------------------------------------------------
 
-def _support_logs(inst: TransitionInstance):
-    q = thermal_state(inst.spectrum, inst.beta_h)
-    p, pp, qa = inst.cold_initial.array, inst.cold_final.array, q.array
-    sp = p > 0
-    spp = pp > 0
-    return (np.log(p[sp]), np.log(qa[sp])), (np.log(pp[spp]), np.log(qa[spp])), q
+def _log_power_sum(a: np.ndarray, lp: np.ndarray, lq: np.ndarray) -> np.ndarray:
+    """ln sum exp(a*lp + (1-a)*lq) for each order in the column ``a``."""
+    return logsumexp(a * lp[None, :] + (1.0 - a) * lq[None, :], axis=1)
 
 
 def _log_a(inst: TransitionInstance, alphas: np.ndarray) -> np.ndarray:
     """ln A = copies * [ln sum p^a q^(1-a) - ln sum p'^a q^(1-a)]."""
-    (lp, lq), (lpp, lqq), _ = _support_logs(inst)
+    t = inst._log_terms
     a = np.atleast_1d(np.asarray(alphas, dtype=float))[:, None]
-    top = logsumexp(a * lp[None, :] + (1.0 - a) * lq[None, :], axis=1)
-    bot = logsumexp(a * lpp[None, :] + (1.0 - a) * lqq[None, :], axis=1)
-    return inst.copies * (top - bot)
+    return inst.copies * (_log_power_sum(a, t.lp, t.lq) - _log_power_sum(a, t.lpp, t.lqq))
 
 
 def _w_one(inst: TransitionInstance) -> float:
-    q = thermal_state(inst.spectrum, inst.beta_h)
-    d1p, _ = kl_divergence_and_variance(inst.cold_initial, q)
-    d1pp, _ = kl_divergence_and_variance(inst.cold_final, q)
     eps = inst.battery.eps
-    delta = inst.copies * (d1p - d1pp)
-    return (delta + binary_entropy(eps)) / (inst.beta_h * (1.0 - eps))
+    return (inst._d1_terms.d1_drop + binary_entropy(eps)) / (inst.beta_h * (1.0 - eps))
 
 
 def _w_one_slope(inst: TransitionInstance) -> float:
     """d W_alpha / d alpha at alpha = 1, from the second derivative of the
     numerator of the generic formula (first-order seam correction)."""
-    q = thermal_state(inst.spectrum, inst.beta_h)
-    d1p, vp = kl_divergence_and_variance(inst.cold_initial, q)
-    d1pp, vpp = kl_divergence_and_variance(inst.cold_final, q)
-    n = inst.copies
-    delta = n * (d1p - d1pp)
-    delta_slope = n * (vp - vpp) / 2.0
+    delta, delta_slope = inst._d1_terms
     eps = inst.battery.eps
     if eps == 0.0:
         return delta_slope / inst.beta_h
@@ -202,13 +226,8 @@ def _w_one_slope(inst: TransitionInstance) -> float:
 
 
 def _w_infinity(inst: TransitionInstance) -> float:
-    q = thermal_state(inst.spectrum, inst.beta_h)
-    p, pp, qa = inst.cold_initial.array, inst.cold_final.array, q.array
-    sp, spp = p > 0, pp > 0
-    dinf = float(np.max(np.log(p[sp]) - np.log(qa[sp])))
-    dinfp = float(np.max(np.log(pp[spp]) - np.log(qa[spp])))
     eps = inst.battery.eps
-    delta = inst.copies * (dinf - dinfp)
+    delta = inst._log_terms.dinf_drop
     if eps > 0 and math.log(eps) > delta:
         # the failure branch of the battery dominates even at W = 0
         raise ConstraintViolationError(
@@ -299,14 +318,26 @@ def _golden_section(f, lo: float, hi: float, tol: float = REFINE_WIDTH, max_iter
     return x, min(f1, f2), b - a
 
 
-def max_extractable_work(
-    inst: TransitionInstance,
-    alpha_min: float = ALPHA_GRID_MIN,
-    grid_points: int = ALPHA_GRID_POINTS,
-) -> WorkResult:
+def _bisect(root_above, lo: float, hi: float) -> float:
+    """Bisection on [lo, hi]; ``root_above(x)`` says whether the root lies above x.
+
+    Halves the bracket until its midpoint is no longer strictly inside it,
+    i.e. down to adjacent floats, and returns that midpoint.
+    """
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if root_above(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
+def max_extractable_work(inst: TransitionInstance, alpha_min: float = ALPHA_GRID_MIN) -> WorkResult:
     """Infimum of W_alpha over all orders > 0.
 
-    The curve is sampled on a log grid of at least 400 points over
+    The curve is sampled on a log grid of 400 points over
     [alpha_min, 1e6] plus the tagged ONE and INFINITY endpoints, then the grid
     minimum is refined by golden-section search in ln(alpha) down to a bracket
     of width <= 1e-8. ``alpha_min`` is the optional lower cutoff used by the
@@ -322,8 +353,7 @@ def max_extractable_work(
         )
     if not (0 < alpha_min < ALPHA_GRID_MAX):
         raise ParameterError("alpha_min out of range")
-    grid_points = max(int(grid_points), ALPHA_GRID_POINTS)
-    alphas = np.geomspace(alpha_min, ALPHA_GRID_MAX, grid_points)
+    alphas = np.geomspace(alpha_min, ALPHA_GRID_MAX, ALPHA_GRID_POINTS)
     values = work_curve_values(inst, alphas)
     w_one = _w_one(inst)
     w_inf = _w_infinity(inst)
@@ -375,12 +405,7 @@ def max_extractable_work(
 # feasibility and the no-perfect-work certificate
 # ---------------------------------------------------------------------------
 
-def transition_feasible(
-    rho0: DiagonalState,
-    rho1: DiagonalState,
-    beta_h: float,
-    grid_points: int = ALPHA_GRID_POINTS,
-) -> FeasibilityReport:
+def transition_feasible(rho0: DiagonalState, rho1: DiagonalState, beta_h: float) -> FeasibilityReport:
     """Check F_alpha(rho0) >= F_alpha(rho1) for every sampled order.
 
     The orders are the standard log grid plus the tagged {0, 1, inf} points;
@@ -397,17 +422,14 @@ def transition_feasible(
     def d_curve(state: DiagonalState, alphas: np.ndarray) -> np.ndarray:
         pa = state.array
         s = pa > 0
-        lp = np.log(pa[s])
-        lqs = lq[s]
-        a = alphas[:, None]
-        generic = logsumexp(a * lp[None, :] + (1.0 - a) * lqs[None, :], axis=1) / (alphas - 1.0)
+        generic = _log_power_sum(alphas[:, None], np.log(pa[s]), lq[s]) / (alphas - 1.0)
         seam = np.abs(alphas - 1.0) <= ALPHA_SEAM
         if np.any(seam):
             d1, var = kl_divergence_and_variance(state, tau)
             generic[seam] = d1 + (alphas[seam] - 1.0) * var / 2.0
         return generic
 
-    alphas = np.geomspace(ALPHA_GRID_MIN, ALPHA_GRID_MAX, max(int(grid_points), 16))
+    alphas = np.geomspace(ALPHA_GRID_MIN, ALPHA_GRID_MAX, ALPHA_GRID_POINTS)
     gaps = (d_curve(rho0, alphas) - d_curve(rho1, alphas)) / beta_h
     tagged = []
     for tag in (Alpha.ZERO, Alpha.ONE, Alpha.INFINITY):

@@ -1,4 +1,5 @@
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -76,6 +77,25 @@ def test_sweep_determinism_and_jobs(tmp_path):
     assert run_command(sweep_args(b)) == 0
     assert run_command(sweep_args(c, extra=("--jobs", "4"))) == 0
     assert read(a) == read(b) == read(c)
+
+
+#: The three README comparison panels; their committed CSVs are in tests/data/.
+README_SWEEPS = {
+    "energy": ["--mode", "energy", "--t-hot", "15", "--t-cold", "10",
+               "--lo", "1", "--hi", "60", "--steps", "120"],
+    "tcold": ["--mode", "tcold", "--t-hot", "20", "--e-min", "15",
+              "--lo", "1", "--hi", "19.5", "--steps", "120"],
+    "thot": ["--mode", "thot", "--t-cold", "5", "--e-min", "15",
+             "--lo", "5.5", "--hi", "60", "--steps", "120"],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(README_SWEEPS))
+def test_readme_sweeps_match_golden_files(tmp_path, mode):
+    out = tmp_path / f"curve_{mode}.csv"
+    assert run_command(["sweep", *README_SWEEPS[mode], "--output", str(out)]) == 0
+    golden = pathlib.Path(__file__).parent / "data" / f"curve_{mode}.csv"
+    assert read(out) == read(golden)
 
 
 def test_sweep_temperature_modes_flag_invalid_points(tmp_path):

@@ -124,14 +124,24 @@ def test_thermal_optimality_unreachable_target():
         thermal_optimality_check(QUBIT, 1.0, 0.5, 10.0, trials=10)
 
 
-def test_beta_bisection_hits_target():
+@pytest.mark.parametrize(
+    "target, beta_expected",
+    [(0.0, 1.0), (0.07, None), ("reach", 0.5)],
+    ids=["zero", "interior", "reach"],
+)
+def test_beta_bisection_hits_target(target, beta_expected):
     spec = EnergySpectrum((0.0, 1.0, 3.0))
-    target = 0.07
+    if target == "reach":  # the largest shift the bracket [beta_h, beta_c] allows
+        target = state_moments(thermal_state(spec, 0.5))[0] - state_moments(
+            thermal_state(spec, 1.0)
+        )[0]
     beta_prime = find_beta_for_mean_shift(spec, 1.0, 0.5, target)
     got = state_moments(thermal_state(spec, beta_prime))[0] - state_moments(
         thermal_state(spec, 1.0)
     )[0]
     assert got == pytest.approx(target, abs=1e-12)
+    if beta_expected is not None:
+        assert beta_prime == pytest.approx(beta_expected, abs=1e-12)
 
 
 # --- derivative identities ---------------------------------------------------
