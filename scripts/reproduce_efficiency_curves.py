@@ -19,6 +19,7 @@ import sys
 
 from nanoheat.cli import run_command
 from nanoheat.nano import omega_single
+from nanoheat.second_laws import _bisect
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "out"
 
@@ -41,14 +42,8 @@ def main():
         if rc != 0:
             return rc
 
-    lo, hi = 1.0, 60.0
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if omega_single(mid, 1 / 10, 1 / 15) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    print(f"criterion crosses 1 at E = {0.5 * (lo + hi):.6f} for T=(15,10)")
+    crossing = _bisect(lambda e: omega_single(e, 1 / 10, 1 / 15) < 1.0, 1.0, 60.0)
+    print(f"criterion crosses 1 at E = {crossing:.6f} for T=(15,10)")
     return 0
 
 

@@ -257,7 +257,7 @@ def _cmd_multicycle(args) -> int:
     return 0
 
 
-def _build_parser() -> _ArgumentParser:
+def _build_parser() -> tuple[_ArgumentParser, dict]:
     parser = _ArgumentParser(prog="nanoheat", description=__doc__)
     parser.add_argument("--config", help="flat key=value file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -316,7 +316,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--n-schedule", default="100,1000,10000,100000")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_multicycle)
-    return parser
+    return parser, sub.choices
 
 
 def _load_config(path: str) -> dict:
@@ -339,9 +339,10 @@ def _load_config(path: str) -> dict:
 
 def run_command(argv) -> int:
     """Dispatch one command line; returns the process exit code."""
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     try:
-        # pre-scan for --config so its values become subcommand defaults
+        # pre-scan for --config: each subcommand checks the keys it knows as
+        # --key=value flags (the = keeps values like -1,0), then takes them as defaults
         if "--config" in argv:
             at = argv.index("--config")
             if at + 1 >= len(argv):
@@ -349,16 +350,11 @@ def run_command(argv) -> int:
             config = _load_config(argv[at + 1])
             argv = argv[:at] + argv[at + 2 :]
             known = set()
-            for action in parser._subparsers._group_actions[0].choices.values():
-                known |= {a.dest for a in action._actions}
-                typed = {}
-                for key, value in config.items():
-                    if key not in {a.dest for a in action._actions}:
-                        continue
-                    dest_action = next(a for a in action._actions if a.dest == key)
-                    cast = dest_action.type or str
-                    typed[key] = cast(value)
-                action.set_defaults(**typed)
+            for sub in subparsers.values():
+                keys = [k for k in config if k in vars(sub.parse_args([]))]
+                typed = sub.parse_args([f"--{k.replace('_', '-')}={config[k]}" for k in keys])
+                sub.set_defaults(**{k: getattr(typed, k) for k in keys})
+                known.update(keys)
             unknown = set(config) - known
             if unknown:
                 raise _CliError(f"unknown config keys: {sorted(unknown)}")

@@ -312,7 +312,7 @@ def general_battery_pair(inst: TransitionInstance, gb: GeneralBattery) -> Genera
     eps = inst.battery.eps
     if eps <= 0:
         raise ParameterError("the comparison needs eps > 0")
-    delta_inf = inst._log_terms.dinf_drop
+    delta_inf = inst._dinf_drop
     w_simple = (delta_inf - math.log1p(-eps)) / inst.beta_h
 
     levels = gb.base.levels.array

@@ -134,6 +134,15 @@ def _check_qubit_params(e_gap: float, beta_c: float, beta_h: float):
         raise ParameterError("need beta_c > beta_h > 0")
 
 
+def _exponents(e_gap: float, beta_c: float, beta_h: float, a: np.ndarray):
+    """x1, x2, x3 and y: the exponents of the qubit closed forms at the orders a."""
+    x1 = (beta_h + a * beta_c) * e_gap
+    x2 = (beta_c + a * beta_h) * e_gap
+    x3 = a * beta_h * e_gap
+    y = (beta_h + a * (beta_c + beta_h)) * e_gap
+    return x1, x2, x3, y
+
+
 def b_alpha(e_gap: float, beta_c: float, beta_h: float, alpha) -> np.ndarray | float:
     """Leading-order sensitivity of the order-alpha power sum to the quasi-static step.
 
@@ -149,10 +158,7 @@ def b_alpha(e_gap: float, beta_c: float, beta_h: float, alpha) -> np.ndarray | f
         raise ParameterError("order must be nonnegative")
     pre = e_gap * math.exp(-float(np.logaddexp(0.0, beta_c * e_gap)))
     inf_mask = np.isinf(a)
-    a_safe = np.where(inf_mask, 1.0, a)
-    x1 = (beta_h + a_safe * beta_c) * e_gap
-    x2 = (beta_c + a_safe * beta_h) * e_gap
-    x3 = a_safe * beta_h * e_gap
+    x1, x2, x3, _ = _exponents(e_gap, beta_c, beta_h, np.where(inf_mask, 1.0, a))
     m = np.maximum(np.maximum(x1, x2), x3)
     num = np.exp(x1 - m) - np.exp(x2 - m)
     den = np.exp(x3 - m) + np.exp(x1 - m)
@@ -180,9 +186,7 @@ def b_alpha_prime(e_gap: float, beta_c: float, beta_h: float, alpha) -> np.ndarr
     _check_qubit_params(e_gap, beta_c, beta_h)
     a = np.atleast_1d(np.asarray(alpha, dtype=float))
     scalar = np.asarray(alpha).ndim == 0
-    x1 = (beta_h + a * beta_c) * e_gap
-    x3 = a * beta_h * e_gap
-    y = (beta_h + a * (beta_c + beta_h)) * e_gap
+    x1, _, x3, y = _exponents(e_gap, beta_c, beta_h, a)
     log_den = 2.0 * np.logaddexp(x3, x1)
     log_b = 2.0 * math.log(e_gap) + math.log(beta_c - beta_h) + y - log_den
     out = np.exp(log_b)
@@ -276,7 +280,7 @@ def omega(bath: QubitBath, beta_c: float, beta_h: float) -> float:
     """
     values = [omega_single(e, beta_c, beta_h) for e in bath.gaps]
     result = min(values)
-    at_min_gap = omega_single(min(bath.gaps), beta_c, beta_h)
+    at_min_gap = values[bath.gaps.index(min(bath.gaps))]
     if abs(result - at_min_gap) > 1e-12 * max(1.0, abs(result)):
         raise NumericalInconsistencyError("criterion minimum not at the smallest gap")
     return result
@@ -294,10 +298,7 @@ def g_function(e_gap: float, beta_c: float, beta_h: float, alpha) -> np.ndarray 
     a_in = np.asarray(alpha, dtype=float)
     scalar = a_in.ndim == 0
     a = np.atleast_1d(a_in).astype(float)
-    x1 = (beta_h + a * beta_c) * e_gap
-    x2 = (beta_c + a * beta_h) * e_gap
-    x3 = a * beta_h * e_gap
-    y = (beta_h + a * (beta_c + beta_h)) * e_gap
+    x1, x2, x3, y = _exponents(e_gap, beta_c, beta_h, a)
     num_log = np.maximum(x1, x2) + np.log1p(-np.exp(-np.abs(x1 - x2)))
     den_log = np.logaddexp(x3, x1)
     log_ratio = (

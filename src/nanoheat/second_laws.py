@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -24,10 +24,10 @@ from .thermo import (
     Alpha,
     DiagonalState,
     EnergySpectrum,
+    SupportLogs,
+    _check_pair,
     binary_entropy,
-    kl_divergence_and_variance,
     logsumexp,
-    renyi_divergence,
     thermal_state,
 )
 
@@ -85,21 +85,6 @@ class BatterySpec:
         return self.levels.levels[-1]
 
 
-class _LogTerms(NamedTuple):
-    """Logs of p, p' and the hot Gibbs state q on the supports of p and p'."""
-
-    lp: np.ndarray
-    lq: np.ndarray
-    lpp: np.ndarray
-    lqq: np.ndarray
-    dinf_drop: float  # copies * (D_inf(p||q) - D_inf(p'||q))
-
-
-class _D1Terms(NamedTuple):
-    d1_drop: float  # copies * (D1(p||q) - D1(p'||q))
-    half_var_drop: float  # copies * (V(p||q) - V(p'||q)) / 2
-
-
 @dataclass(frozen=True)
 class TransitionInstance:
     """One work-extraction problem: cold bath start/end, temperatures, battery.
@@ -108,9 +93,9 @@ class TransitionInstance:
     identical, independently transformed copies; divergences are additive so
     the composite never has to be materialized.
 
-    The divergence terms every work formula reads are built once per instance,
-    on first use, as two records: the support logs never raise, while the
-    relative-entropy terms raise DomainError when q underflows on the support.
+    The hot Gibbs state q and the support-log records of (p||q) and (p'||q) are
+    built once, on first use, and every work formula reads them. The records
+    never raise; the order-1 terms raise DomainError if q underflows anywhere.
     """
 
     cold_initial: DiagonalState
@@ -136,22 +121,25 @@ class TransitionInstance:
         return self.cold_initial.spectrum
 
     @cached_property
-    def _log_terms(self) -> _LogTerms:
-        q = thermal_state(self.spectrum, self.beta_h).array
-        p, pp = self.cold_initial.array, self.cold_final.array
-        sp, spp = p > 0, pp > 0
-        lp, lq = np.log(p[sp]), np.log(q[sp])
-        lpp, lqq = np.log(pp[spp]), np.log(q[spp])
-        dinf_drop = self.copies * (float(np.max(lp - lq)) - float(np.max(lpp - lqq)))
-        return _LogTerms(lp, lq, lpp, lqq, dinf_drop)
+    def _tau_h(self) -> DiagonalState:
+        return thermal_state(self.spectrum, self.beta_h)
 
     @cached_property
-    def _d1_terms(self) -> _D1Terms:
-        q = thermal_state(self.spectrum, self.beta_h)
-        d1p, vp = kl_divergence_and_variance(self.cold_initial, q)
-        d1pp, vpp = kl_divergence_and_variance(self.cold_final, q)
-        n = self.copies
-        return _D1Terms(n * (d1p - d1pp), n * (vp - vpp) / 2.0)
+    def _support_logs(self) -> Tuple[SupportLogs, SupportLogs]:
+        q = self._tau_h.array
+        return SupportLogs.of(self.cold_initial.array, q), SupportLogs.of(self.cold_final.array, q)
+
+    @property
+    def _dinf_drop(self) -> float:
+        initial, final = self._support_logs
+        return self.copies * (initial.d_infinity() - final.d_infinity())
+
+    @property
+    def _d1_drops(self) -> Tuple[float, float]:
+        """The drops of D1 and of half the log-ratio variance, times copies."""
+        _check_pair(self.cold_initial, self._tau_h)
+        (d1p, vp), (d1pp, vpp) = (logs.d_one_and_variance() for logs in self._support_logs)
+        return self.copies * (d1p - d1pp), self.copies * (vp - vpp) / 2.0
 
 
 @dataclass(frozen=True)
@@ -195,27 +183,22 @@ class PerfectWorkCertificate:
 # W_alpha
 # ---------------------------------------------------------------------------
 
-def _log_power_sum(a: np.ndarray, lp: np.ndarray, lq: np.ndarray) -> np.ndarray:
-    """ln sum exp(a*lp + (1-a)*lq) for each order in the column ``a``."""
-    return logsumexp(a * lp[None, :] + (1.0 - a) * lq[None, :], axis=1)
-
-
 def _log_a(inst: TransitionInstance, alphas: np.ndarray) -> np.ndarray:
     """ln A = copies * [ln sum p^a q^(1-a) - ln sum p'^a q^(1-a)]."""
-    t = inst._log_terms
+    initial, final = inst._support_logs
     a = np.atleast_1d(np.asarray(alphas, dtype=float))[:, None]
-    return inst.copies * (_log_power_sum(a, t.lp, t.lq) - _log_power_sum(a, t.lpp, t.lqq))
+    return inst.copies * (initial.log_power_sum(a) - final.log_power_sum(a))
 
 
 def _w_one(inst: TransitionInstance) -> float:
     eps = inst.battery.eps
-    return (inst._d1_terms.d1_drop + binary_entropy(eps)) / (inst.beta_h * (1.0 - eps))
+    return (inst._d1_drops[0] + binary_entropy(eps)) / (inst.beta_h * (1.0 - eps))
 
 
 def _w_one_slope(inst: TransitionInstance) -> float:
     """d W_alpha / d alpha at alpha = 1, from the second derivative of the
     numerator of the generic formula (first-order seam correction)."""
-    delta, delta_slope = inst._d1_terms
+    delta, delta_slope = inst._d1_drops
     eps = inst.battery.eps
     if eps == 0.0:
         return delta_slope / inst.beta_h
@@ -227,7 +210,7 @@ def _w_one_slope(inst: TransitionInstance) -> float:
 
 def _w_infinity(inst: TransitionInstance) -> float:
     eps = inst.battery.eps
-    delta = inst._log_terms.dinf_drop
+    delta = inst._dinf_drop
     if eps > 0 and math.log(eps) > delta:
         # the failure branch of the battery dominates even at W = 0
         raise ConstraintViolationError(
@@ -417,26 +400,20 @@ def transition_feasible(rho0: DiagonalState, rho1: DiagonalState, beta_h: float)
     if beta_h <= 0:
         raise ParameterError("beta_h must be positive")
     tau = thermal_state(rho0.spectrum, beta_h)
-    lq = np.log(tau.array)
+    _check_pair(rho0, tau)
+    r0, r1 = (SupportLogs.of(rho.array, tau.array) for rho in (rho0, rho1))
 
-    def d_curve(state: DiagonalState, alphas: np.ndarray) -> np.ndarray:
-        pa = state.array
-        s = pa > 0
-        generic = _log_power_sum(alphas[:, None], np.log(pa[s]), lq[s]) / (alphas - 1.0)
-        seam = np.abs(alphas - 1.0) <= ALPHA_SEAM
-        if np.any(seam):
-            d1, var = kl_divergence_and_variance(state, tau)
-            generic[seam] = d1 + (alphas[seam] - 1.0) * var / 2.0
-        return generic
-
+    # no grid order lies within ALPHA_SEAM of 1, so the generic formula holds
     alphas = np.geomspace(ALPHA_GRID_MIN, ALPHA_GRID_MAX, ALPHA_GRID_POINTS)
-    gaps = (d_curve(rho0, alphas) - d_curve(rho1, alphas)) / beta_h
-    tagged = []
-    for tag in (Alpha.ZERO, Alpha.ONE, Alpha.INFINITY):
-        gap = (renyi_divergence(rho0, tau, tag) - renyi_divergence(rho1, tau, tag)) / beta_h
-        tagged.append((float(tag), gap))
+    col = alphas[:, None]
+    gaps = (r0.log_power_sum(col) / (alphas - 1.0) - r1.log_power_sum(col) / (alphas - 1.0)) / beta_h
+    tagged = (
+        (0.0, r0.d_zero() - r1.d_zero()),
+        (1.0, r0.d_one_and_variance()[0] - r1.d_one_and_variance()[0]),
+        (math.inf, r0.d_infinity() - r1.d_infinity()),
+    )
     all_alphas = np.concatenate([alphas, [t for t, _ in tagged]])
-    all_gaps = np.concatenate([gaps, [g for _, g in tagged]])
+    all_gaps = np.concatenate([gaps, [d / beta_h for _, d in tagged]])
     worst = int(np.argmin(all_gaps))
     violations = tuple(
         (float(a), float(g))

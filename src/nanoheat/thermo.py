@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -256,6 +256,40 @@ def _check_pair(p: DiagonalState, q: DiagonalState):
         raise DomainError("reference state must have full rank")
 
 
+class SupportLogs(NamedTuple):
+    """A pair (p, q) restricted to the support of p, with the logs of both; every
+    divergence of the pair is read from it. Building it never raises: where q
+    underflows on the support, lq holds -inf."""
+
+    p: np.ndarray
+    q: np.ndarray
+    lp: np.ndarray
+    lq: np.ndarray
+
+    @classmethod
+    def of(cls, p: np.ndarray, q: np.ndarray) -> "SupportLogs":
+        s = p > 0
+        return cls(p[s], q[s], np.log(p[s]), np.log(q[s]))
+
+    def d_zero(self) -> float:
+        """-ln of the weight q puts on the support of p."""
+        return float(-math.log(float(self.q.sum()))) + 0.0
+
+    def d_one_and_variance(self) -> Tuple[float, float]:
+        """D1(p||q) and the variance of the log-likelihood ratio under p."""
+        x = self.lp - self.lq
+        d1 = float(self.p @ x)
+        return d1, float(self.p @ (x * x)) - d1 * d1
+
+    def d_infinity(self) -> float:
+        """ln max_i p_i / q_i."""
+        return float(np.max(self.lp - self.lq))
+
+    def log_power_sum(self, a):
+        """ln sum exp(a*lp + (1-a)*lq) for one order, or per row for a column of orders."""
+        return logsumexp(a * self.lp + (1.0 - a) * self.lq, axis=None if np.ndim(a) == 0 else 1)
+
+
 def kl_divergence_and_variance(p: DiagonalState, q: DiagonalState) -> Tuple[float, float]:
     """Relative entropy D1(p||q) and the variance of the log-likelihood ratio.
 
@@ -263,12 +297,7 @@ def kl_divergence_and_variance(p: DiagonalState, q: DiagonalState) -> Tuple[floa
     (divided by 2), used by the seam branch of renyi_divergence.
     """
     _check_pair(p, q)
-    pa, qa = p.array, q.array
-    s = pa > 0
-    x = np.log(pa[s]) - np.log(qa[s])
-    d1 = float(pa[s] @ x)
-    var = float(pa[s] @ (x * x)) - d1 * d1
-    return d1, var
+    return SupportLogs.of(p.array, q.array).d_one_and_variance()
 
 
 def renyi_divergence(p: DiagonalState, q: DiagonalState, alpha) -> float:
@@ -285,21 +314,18 @@ def renyi_divergence(p: DiagonalState, q: DiagonalState, alpha) -> float:
     """
     a = Alpha.of(alpha)
     _check_pair(p, q)
-    pa, qa = p.array, q.array
-    s = pa > 0
+    logs = SupportLogs.of(p.array, q.array)
     if a.is_zero:
-        return float(-math.log(float(qa[s].sum()))) + 0.0
+        return logs.d_zero()
     if a.is_infinity:
-        return float(np.max(np.log(pa[s]) - np.log(qa[s])))
+        return logs.d_infinity()
     if a.is_one:
-        d1, _ = kl_divergence_and_variance(p, q)
-        return d1
+        return logs.d_one_and_variance()[0]
     v = a.value
     if abs(v - 1.0) <= ALPHA_SEAM:
-        d1, var = kl_divergence_and_variance(p, q)
+        d1, var = logs.d_one_and_variance()
         return d1 + (v - 1.0) * var / 2.0
-    t = v * np.log(pa[s]) + (1.0 - v) * np.log(qa[s])
-    return float(logsumexp(t)) / (v - 1.0)
+    return float(logs.log_power_sum(v)) / (v - 1.0)
 
 
 def alpha_free_energy(rho: DiagonalState, tau_h: DiagonalState, alpha, beta_h: float) -> float:

@@ -215,6 +215,28 @@ def test_exit_code_on_config_errors(tmp_path):
     assert run_command(sweep_args(tmp_path / "x.csv", extra=("--lo", "70"))) == 1
 
 
+@pytest.mark.parametrize(
+    "lines",
+    [
+        "mode = thot\ne-min = 15\nsteps = abc\n",
+        "mode = bogus\ne-min = 15\nsteps = 3\n",
+        "mode = thot\ne = 15\nsteps = 3\n",  # work's --e is not sweep's --e-min
+    ],
+    ids=["bad-int", "bad-choice", "e-not-e-min"],
+)
+def test_config_values_checked_like_flags(tmp_path, lines):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"t-cold = 5\nlo = 5.5\nhi = 60\noutput = {tmp_path / 'x.csv'}\n" + lines)
+    assert run_command(["sweep", "--config", str(conf)]) == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_config_value_with_leading_minus(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("levels = -1,0\np0 = 0.5,0.5\np1 = 0.5,0.5\nt-hot = 2\n")
+    assert run_command(["feasible", "--config", str(conf)]) == 0
+    assert capsys.readouterr().out.startswith("feasible:")
+
 def test_exit_code_on_io_failure(tmp_path):
     missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert run_command(sweep_args(missing_dir, steps=2)) == 2

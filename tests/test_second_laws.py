@@ -274,6 +274,22 @@ def test_order_infinity_guard_when_failure_branch_dominates():
         w_alpha(inst, Alpha.INFINITY)
 
 
+def test_hot_gibbs_underflow_splits_the_orders():
+    # at E=800 the hot Gibbs state underflows to 0 on the excited level: the
+    # orders read from the support logs still give values, while order 1
+    # (and so the solver and the feasibility report) needs a full-rank q
+    from nanoheat import DomainError
+
+    inst = quasi_static_instance(EnergySpectrum((0.0, 800.0)), 2.0, 1.0, 1e-3, 1e-6)
+    assert math.isfinite(w_alpha(inst, 2.5))
+    assert math.isfinite(w_alpha(inst, Alpha.INFINITY))
+    with pytest.raises(DomainError):
+        w_alpha(inst, Alpha.ONE)
+    with pytest.raises(DomainError):
+        max_extractable_work(inst)
+    with pytest.raises(DomainError):
+        transition_feasible(inst.cold_initial, inst.cold_final, inst.beta_h)
+
 def test_validation_negative_paths():
     with pytest.raises(ParameterError):
         BatterySpec(EnergySpectrum((0.0, 1.0)), 1, 0, 0.1)  # charged below start
