@@ -134,13 +134,23 @@ def _check_qubit_params(e_gap: float, beta_c: float, beta_h: float):
         raise ParameterError("need beta_c > beta_h > 0")
 
 
-def _exponents(e_gap: float, beta_c: float, beta_h: float, a: np.ndarray):
-    """x1, x2, x3 and y: the exponents of the qubit closed forms at the orders a."""
-    x1 = (beta_h + a * beta_c) * e_gap
-    x2 = (beta_c + a * beta_h) * e_gap
-    x3 = a * beta_h * e_gap
-    y = (beta_h + a * (beta_c + beta_h)) * e_gap
-    return x1, x2, x3, y
+# x1, x2, x3 and y: the exponents of the qubit closed forms at the orders a;
+# each closed form builds only the ones it reads.
+
+def _x1(e_gap: float, beta_c: float, beta_h: float, a: np.ndarray) -> np.ndarray:
+    return (beta_h + a * beta_c) * e_gap
+
+
+def _x2(e_gap: float, beta_c: float, beta_h: float, a: np.ndarray) -> np.ndarray:
+    return (beta_c + a * beta_h) * e_gap
+
+
+def _x3(e_gap: float, beta_c: float, beta_h: float, a: np.ndarray) -> np.ndarray:
+    return a * beta_h * e_gap
+
+
+def _y(e_gap: float, beta_c: float, beta_h: float, a: np.ndarray) -> np.ndarray:
+    return (beta_h + a * (beta_c + beta_h)) * e_gap
 
 
 def b_alpha(e_gap: float, beta_c: float, beta_h: float, alpha) -> np.ndarray | float:
@@ -158,7 +168,10 @@ def b_alpha(e_gap: float, beta_c: float, beta_h: float, alpha) -> np.ndarray | f
         raise ParameterError("order must be nonnegative")
     pre = e_gap * math.exp(-float(np.logaddexp(0.0, beta_c * e_gap)))
     inf_mask = np.isinf(a)
-    x1, x2, x3, _ = _exponents(e_gap, beta_c, beta_h, np.where(inf_mask, 1.0, a))
+    a_fin = np.where(inf_mask, 1.0, a)
+    x1 = _x1(e_gap, beta_c, beta_h, a_fin)
+    x2 = _x2(e_gap, beta_c, beta_h, a_fin)
+    x3 = _x3(e_gap, beta_c, beta_h, a_fin)
     m = np.maximum(np.maximum(x1, x2), x3)
     num = np.exp(x1 - m) - np.exp(x2 - m)
     den = np.exp(x3 - m) + np.exp(x1 - m)
@@ -186,7 +199,9 @@ def b_alpha_prime(e_gap: float, beta_c: float, beta_h: float, alpha) -> np.ndarr
     _check_qubit_params(e_gap, beta_c, beta_h)
     a = np.atleast_1d(np.asarray(alpha, dtype=float))
     scalar = np.asarray(alpha).ndim == 0
-    x1, _, x3, y = _exponents(e_gap, beta_c, beta_h, a)
+    x1 = _x1(e_gap, beta_c, beta_h, a)
+    x3 = _x3(e_gap, beta_c, beta_h, a)
+    y = _y(e_gap, beta_c, beta_h, a)
     log_den = 2.0 * np.logaddexp(x3, x1)
     log_b = 2.0 * math.log(e_gap) + math.log(beta_c - beta_h) + y - log_den
     out = np.exp(log_b)
@@ -298,7 +313,10 @@ def g_function(e_gap: float, beta_c: float, beta_h: float, alpha) -> np.ndarray 
     a_in = np.asarray(alpha, dtype=float)
     scalar = a_in.ndim == 0
     a = np.atleast_1d(a_in).astype(float)
-    x1, x2, x3, y = _exponents(e_gap, beta_c, beta_h, a)
+    x1 = _x1(e_gap, beta_c, beta_h, a)
+    x2 = _x2(e_gap, beta_c, beta_h, a)
+    x3 = _x3(e_gap, beta_c, beta_h, a)
+    y = _y(e_gap, beta_c, beta_h, a)
     num_log = np.maximum(x1, x2) + np.log1p(-np.exp(-np.abs(x1 - x2)))
     den_log = np.logaddexp(x3, x1)
     log_ratio = (

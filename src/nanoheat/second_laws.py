@@ -39,6 +39,11 @@ ALPHA_GRID_POINTS = 400
 #: Width (in ln alpha) down to which the grid minimum is refined.
 REFINE_WIDTH = 1e-8
 
+#: Orders times levels per curve call in the refinement. Below it, a call costs
+#: about the same for one order as for many (numpy overhead, not arithmetic),
+#: so the refinement evaluates several of its steps at once.
+SPECULATION_BUDGET = 128
+
 #: Slack used when deciding that the grid tail actually sits on the
 #: alpha -> infinity endpoint. The exact curve approaches its limit like
 #: 1/alpha, so anything closer than ~10/alpha_max is indistinguishable
@@ -280,22 +285,79 @@ def w_alpha(inst: TransitionInstance, alpha) -> float:
 # the infimum solver
 # ---------------------------------------------------------------------------
 
-def _golden_section(f, lo: float, hi: float, tol: float = REFINE_WIDTH, max_iter: int = 200):
-    """Golden-section minimization on [lo, hi]; returns (x, f(x), final width)."""
+def _probe_tree(a: float, b: float, x1: float, x2: float, steps: int, tol: float) -> list:
+    """The points the next ``steps`` golden-section steps could probe from the
+    bracket (a, b) with inner points x1 < x2, before the first of them knows
+    which side it keeps: the f1 <= f2 branch, then the other, each followed by
+    its own subtree. The arithmetic is that of the loop in ``_golden_section``."""
+    if steps <= 0 or not b - a > tol:
+        return []
+    lx1 = x2 - _GOLDEN * (x2 - a)
+    rx2 = x1 + _GOLDEN * (b - x1)
+    return (
+        [lx1] + _probe_tree(a, x2, lx1, x1, steps - 1, tol)
+        + [rx2] + _probe_tree(x1, b, x2, rx2, steps - 1, tol)
+    )
+
+
+def _speculation_depth(levels: int) -> int:
+    """Largest d >= 1 with (2**d - 1) * levels <= SPECULATION_BUDGET."""
+    d = 1
+    while (2 ** (d + 1) - 1) * levels <= SPECULATION_BUDGET:
+        d += 1
+    return d
+
+
+def _golden_section(f_many, lo: float, hi: float, depth: int = 1,
+                    tol: float = REFINE_WIDTH, max_iter: int = 200):
+    """Golden-section minimization on [lo, hi]; returns (x, f(x), final width).
+
+    ``f_many`` maps a list of points to their values. Each call gets the point
+    the loop needs now and every point the next ``depth - 1`` steps could probe
+    after it, 2**depth - 1 in all (the first call: the starting pair, then the
+    same tree). The loop reads its values from those, so it takes the same
+    steps as with one point per call. A batch that raises
+    ConstraintViolationError may owe it to a point the loop never reaches, so
+    the point needed now is then evaluated alone: the search raises only where
+    the one-point loop does.
+    """
+    known = {}
+
+    def fetch(points):
+        # not recursive: a closure that calls itself is a reference cycle that
+        # would keep f_many, and with it the instance, alive until the next gc
+        try:
+            values = f_many(points)
+        except ConstraintViolationError:
+            if len(points) == 1:
+                raise
+            points = points[:1]  # the point the loop needs now
+            values = f_many(points)
+        known.update(zip(points, values))
+
+    def look(x):
+        # x was just placed by the step that left the bracket (a, b, x1, x2)
+        if x not in known:
+            fetch([x] + _probe_tree(a, b, x1, x2, min(depth - 1, max_iter - it - 1), tol))
+        return known[x]
+
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
     it = 0
+    if depth > 1:
+        fetch([x1, x2] + _probe_tree(a, b, x1, x2, min(depth - 1, max_iter), tol))
+    f1 = look(x1)
+    f2 = look(x2)
     while b - a > tol and it < max_iter:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
+            f1 = look(x1)
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
+            f2 = look(x2)
         it += 1
     x = 0.5 * (a + b)
     return x, min(f1, f2), b - a
@@ -323,7 +385,9 @@ def max_extractable_work(inst: TransitionInstance, alpha_min: float = ALPHA_GRID
     The curve is sampled on a log grid of 400 points over
     [alpha_min, 1e6] plus the tagged ONE and INFINITY endpoints, then the grid
     minimum is refined by golden-section search in ln(alpha) down to a bracket
-    of width <= 1e-8. ``alpha_min`` is the optional lower cutoff used by the
+    of width <= 1e-8. Each curve call of the refinement evaluates the orders of
+    several steps; how many follows from the spectrum size. W_ext is at most
+    every sampled value. ``alpha_min`` is the optional lower cutoff used by the
     quasi-static analysis; the default covers the whole positive axis.
 
     The reported argmin is INFINITY whenever the analytic infinite-order value
@@ -342,7 +406,7 @@ def max_extractable_work(inst: TransitionInstance, alpha_min: float = ALPHA_GRID
     w_inf = _w_infinity(inst)
     seam = tuple(float(a) for a in alphas[np.abs(alphas - 1.0) <= ALPHA_SEAM])
     curve = WorkCurve(
-        samples=tuple(zip((float(a) for a in alphas), (float(v) for v in values))),
+        samples=tuple(zip(alphas.tolist(), values.tolist())),
         w_zero_plus=math.inf,
         w_one=w_one,
         w_infinity=w_inf,
@@ -355,11 +419,13 @@ def max_extractable_work(inst: TransitionInstance, alpha_min: float = ALPHA_GRID
     lo = alphas[max(i - 1, 0)]
     hi = alphas[min(i + 1, len(alphas) - 1)]
 
-    def f(u: float) -> float:
-        v = float(work_curve_values(inst, np.array([math.exp(u)]))[0])
-        return v if math.isfinite(v) else _BIG
+    def f_many(us):
+        ws = work_curve_values(inst, [math.exp(u) for u in us]).tolist()
+        return [w if math.isfinite(w) else _BIG for w in ws]
 
-    u_star, w_star, width = _golden_section(f, math.log(lo), math.log(hi))
+    u_star, w_star, width = _golden_section(
+        f_many, math.log(lo), math.log(hi), _speculation_depth(inst.spectrum.size)
+    )
     alpha_star = math.exp(u_star)
 
     # assemble candidates; ties break toward the smaller order
@@ -370,6 +436,11 @@ def max_extractable_work(inst: TransitionInstance, alpha_min: float = ALPHA_GRID
     ]
     candidates.sort(key=lambda c: (c[0], c[1]))
     w_ext, _, argmin = candidates[0]
+    # the infimum lies at or below every sample, but the refinement can end
+    # above the grid minimum it started from: on a noisy tail, or where that
+    # minimum is the first grid order (alpha_min)
+    if values[i] < w_ext:
+        w_ext, argmin = float(values[i]), Alpha.of(alphas[i])
 
     # a refined minimum parked on the grid tail is the infinite-order endpoint
     # seen through the ~1/alpha tail of the exact curve, not a real interior min

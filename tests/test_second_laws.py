@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from nanoheat import (
     Alpha,
     BatterySpec,
+    ConstraintViolationError,
     DiagonalState,
     EnergySpectrum,
     ParameterError,
+    QubitBath,
     TransitionInstance,
     max_extractable_work,
     no_perfect_work,
@@ -19,6 +21,7 @@ from nanoheat import (
     transition_feasible,
     w_alpha,
 )
+from nanoheat import second_laws
 from nanoheat.second_laws import _w_one, work_curve_values
 
 from conftest import make_rng
@@ -132,11 +135,22 @@ def test_solver_reduced_regime_argmin_infinity():
     assert all(w >= result.w_ext - 1e-15 for _, w in result.curve.samples)
 
 
-def test_solver_result_bounds_every_sample():
-    inst = quasi_static_instance(QUBIT, 1.0, 0.5, 1e-3, 1e-6)
+@pytest.mark.parametrize(
+    "spectrum, t_cold, t_hot, g, eps",
+    [
+        (QUBIT, 1.0, 2.0, 1e-3, 1e-6),
+        # cold bath with beta_c E ~ 16: W_alpha at large orders is rounding
+        # noise, and the refinement ends above the grid minimum it started from
+        (EnergySpectrum((0.0, 18.6)), 1.19, 52.0, 1e-5, 1e-10),
+    ],
+    ids=["qubit", "noisy-tail"],
+)
+def test_solver_result_bounds_every_sample(spectrum, t_cold, t_hot, g, eps):
+    inst = quasi_static_instance(spectrum, 1.0 / t_cold, 1.0 / t_hot, g, eps)
     result = max_extractable_work(inst)
-    assert all(w >= result.w_ext - 1e-10 for _, w in result.curve.samples)
-    assert result.curve.w_zero_plus == math.inf
+    curve = result.curve
+    assert result.w_ext <= min([w for _, w in curve.samples] + [curve.w_one, curve.w_infinity])
+    assert curve.w_zero_plus == math.inf
 
 
 def test_solver_honors_lower_cutoff():
@@ -195,6 +209,212 @@ def test_solver_copies_route_equals_composed_spectrum_route():
     assert max_extractable_work(per_copy).w_ext == pytest.approx(
         max_extractable_work(composed).w_ext, rel=1e-10
     )
+
+
+# --- the golden-section refinement -------------------------------------------
+
+def one_point_golden_section(f, lo, hi, tol=second_laws.REFINE_WIDTH, max_iter=200):
+    """Reference: the refinement with one evaluation per point, as before batching."""
+    a, b = lo, hi
+    x1 = b - second_laws._GOLDEN * (b - a)
+    x2 = a + second_laws._GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    it = 0
+    while b - a > tol and it < max_iter:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - second_laws._GOLDEN * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + second_laws._GOLDEN * (b - a)
+            f2 = f(x2)
+        it += 1
+    x = 0.5 * (a + b)
+    return x, min(f1, f2), b - a
+
+
+def recorded(f):
+    """f plus the list of points it was called at, in order."""
+    visits = []
+
+    def g(x):
+        visits.append(x)
+        return f(x)
+
+    return g, visits
+
+
+def batched_golden_section(f_many, lo, hi, depth, **kw):
+    """Run the batched search; return its result and the batches it asked for."""
+    batches = []
+
+    def record(points):
+        batches.append(list(points))
+        return f_many(points)
+
+    return second_laws._golden_section(record, lo, hi, depth, **kw), batches
+
+
+def assert_replays(visits, batches, depth):
+    """Each batch is asked for when the one-point search first needs a point
+    outside the earlier batches, and it starts with that point. That happens
+    every ``depth`` steps or later (the first batch holds the starting pair
+    too); later where a step meets a point another branch already evaluated."""
+    evaluated = set()
+    pending = iter(batches)
+    heads = []
+    for i, x in enumerate(visits):
+        if x not in evaluated:
+            batch = next(pending)
+            assert batch[0] == x
+            evaluated.update(batch)
+            heads.append(i)
+    assert next(pending, None) is None
+    gaps = [j - i for i, j in zip(heads, heads[1:])]
+    assert all(gap >= depth for gap in gaps)
+    assert depth == 1 or not gaps or gaps[0] >= depth + 1
+
+
+def test_speculation_depth_follows_the_spectrum_size():
+    depth = second_laws._speculation_depth
+    budget = second_laws.SPECULATION_BUDGET
+    assert [depth(n) for n in (2, 8, 64, 4096)] == [6, 4, 1, 1]
+    for n in range(1, 200):
+        d = depth(n)
+        assert d == 1 or (2 ** d - 1) * n <= budget
+        assert (2 ** (d + 1) - 1) * n > budget
+
+
+def test_batched_refinement_replays_the_one_point_search(monkeypatch):
+    rng = make_rng(8)
+    searches = []
+    batched = second_laws._golden_section
+
+    def spy(f_many, lo, hi, depth):
+        searches.append((f_many, lo, hi, depth))
+        return batched(f_many, lo, hi, depth)
+
+    monkeypatch.setattr(second_laws, "_golden_section", spy)
+    for k in range(200):
+        spec = QubitBath(tuple(rng.uniform(0.5, 60.0, int(rng.integers(1, 4))))).spectrum()
+        t_cold = rng.uniform(1.0, 19.5)
+        t_hot = rng.uniform(max(5.5, 1.05 * t_cold), 60.0)
+        g = 10 ** rng.uniform(-7, -3)
+        eps = g * g if k % 2 else 10 ** rng.uniform(-14, -2)
+        inst = quasi_static_instance(spec, 1 / t_cold, 1 / t_hot, g, eps, int(rng.integers(1, 4)))
+        result = max_extractable_work(inst, alpha_min=0.5 if k % 4 < 2 else 1e-6)
+        f_many, lo, hi, depth = searches.pop()
+        assert depth == second_laws._speculation_depth(spec.size)
+
+        def f(u):
+            v = float(work_curve_values(inst, np.array([math.exp(u)]))[0])
+            return v if math.isfinite(v) else second_laws._BIG
+
+        f, visits = recorded(f)
+        expected = one_point_golden_section(f, lo, hi)
+        got, batches = batched_golden_section(f_many, lo, hi, depth)
+        assert got == expected
+        assert result.refinement_width == expected[2]
+        assert_replays(visits, batches, depth)
+        assert max(len(batch) for batch in batches) <= 2 ** depth
+
+
+SYNTHETIC_CURVES = {
+    "bowl": lambda x: (x - 0.3) ** 2,
+    # every comparison ties
+    "flat": lambda x: 1.0,
+    # stairs: long runs of f1 == f2
+    "stairs": lambda x: abs(math.floor(16.0 * x) - 5.0),
+    # the unbounded orders of a curve, clamped to _BIG
+    "big-plateau": lambda x: second_laws._BIG if x < 0.62 else x,
+}
+
+
+@pytest.mark.parametrize("max_iter", [200, 9])
+@pytest.mark.parametrize("depth", [1, 2, 6, 7])
+@pytest.mark.parametrize("curve", sorted(SYNTHETIC_CURVES))
+def test_batched_refinement_synthetic_curves(curve, depth, max_iter):
+    f, visits = recorded(SYNTHETIC_CURVES[curve])
+    expected = one_point_golden_section(f, 0.0, 1.0, max_iter=max_iter)
+    got, batches = batched_golden_section(
+        lambda points: [SYNTHETIC_CURVES[curve](x) for x in points], 0.0, 1.0, depth, max_iter=max_iter
+    )
+    assert got == expected
+    assert_replays(visits, batches, depth)
+    if depth == 1:
+        assert all(len(batch) == 1 for batch in batches)
+
+
+@pytest.mark.parametrize("bad", ["every-unvisited", "one-in-third-batch"])
+def test_batched_refinement_error_on_an_unvisited_branch_does_not_raise(bad):
+    # a batch holding a "bad" order raises, as work_curve_values does for
+    # A <= eps^alpha at an order >= 1; the one-point search never visits it
+    bowl = SYNTHETIC_CURVES["bowl"]
+    f, visits = recorded(bowl)
+    expected = one_point_golden_section(f, 0.0, 1.0)
+    visited = set(visits)
+    if bad == "every-unvisited":
+        bad_points = None
+    else:
+        _, batches = batched_golden_section(lambda points: [bowl(x) for x in points], 0.0, 1.0, 6)
+        bad_points = {next(x for x in batches[2] if x not in visited)}
+
+    def is_bad(x):
+        return x not in visited if bad_points is None else x in bad_points
+
+    def f_many(points):
+        if any(is_bad(x) for x in points):
+            raise ConstraintViolationError("bad order")
+        return [bowl(x) for x in points]
+
+    got, _ = batched_golden_section(f_many, 0.0, 1.0, 6)
+    assert got == expected
+
+
+def test_batched_refinement_error_on_a_visited_point_raises():
+    bowl = SYNTHETIC_CURVES["bowl"]
+    f, visits = recorded(bowl)
+    one_point_golden_section(f, 0.0, 1.0)
+    bad = visits[20]
+
+    def f_many(points):
+        if bad in points:
+            raise ConstraintViolationError("bad order")
+        return [bowl(x) for x in points]
+
+    with pytest.raises(ConstraintViolationError):
+        batched_golden_section(f_many, 0.0, 1.0, 6)
+
+
+def test_qubit_solve_batches_its_refinement(monkeypatch):
+    calls = []
+    curve = second_laws.work_curve_values
+
+    def counted(inst, alphas):
+        calls.append(len(alphas))
+        return curve(inst, alphas)
+
+    monkeypatch.setattr(second_laws, "work_curve_values", counted)
+    max_extractable_work(quasi_static_instance(EnergySpectrum((0.0, 15.0)), 0.1, 1 / 15, 1e-5, 1e-10))
+    # the 400-order grid, then the refinement in batches of at most 64 orders
+    assert calls[0] == second_laws.ALPHA_GRID_POINTS
+    assert len(calls) <= 8 and max(calls[1:]) <= 64
+
+
+def test_solve_leaves_no_reference_cycles():
+    # a cycle would keep the instance and its arrays alive until the next
+    # collection; on 4096-level baths that raised the peak memory by a third
+    import gc
+
+    inst = quasi_static_instance(EnergySpectrum((0.0, 15.0)), 0.1, 1 / 15, 1e-5, 1e-10)
+    gc.collect()
+    gc.disable()
+    try:
+        max_extractable_work(inst)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- transition_feasible -----------------------------------------------------
