@@ -1,0 +1,277 @@
+#!/usr/bin/env python3
+"""Write one line per record of nanoheat's public results, for comparing two trees.
+
+    python scripts/parity.py OUT.txt
+
+Imports nanoheat from the ``src/`` next to this script, draws every input from
+fixed seeds, and writes ``key -> repr(result)`` per record (``!ExceptionType``
+when the call raises), plus the exit code, stdout and CSV lines of the five CLI
+subcommands. Run it in two checkouts and ``cmp`` the files: a refactor that
+keeps every output bit for bit leaves them identical.
+"""
+import contextlib
+import io
+import math
+import pathlib
+import sys
+import tempfile
+
+import numpy as np
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import nanoheat as nh  # noqa: E402
+from nanoheat import cli, extensions, second_laws  # noqa: E402
+
+ORDERS = (0.0, 0.3, 1.0, 1.0 + 5e-7, 2.5, math.inf)
+
+
+class Recorder:
+    def __init__(self, fh):
+        self.fh = fh
+        self.count = 0
+
+    def write(self, key, text):
+        self.fh.write(f"{key} -> {text}\n")
+        self.count += 1
+
+    def __call__(self, key, fn, *args, **kwargs):
+        """Record repr(fn(*args, **kwargs)), or the type of the exception it raises."""
+        try:
+            value = fn(*args, **kwargs)
+        except Exception as exc:  # the exception type is part of the contract
+            self.write(key, "!" + type(exc).__name__)
+            return None
+        self.write(key, repr(value))
+        return value
+
+    def build(self, key, make):
+        """make(), recording only the exception type if it raises."""
+        try:
+            return make()
+        except nh.NanoheatError as exc:
+            self.write(key, "!" + type(exc).__name__)
+            return None
+
+
+def battery(eps):
+    return nh.BatterySpec(nh.EnergySpectrum((0.0, 1.0)), 0, 1, eps)
+
+
+def alpha_view(x):
+    a = nh.Alpha.of(x)
+    return repr(a), float(a), a.is_zero, a.is_one, a.is_infinity, a.is_finite
+
+
+def alpha_records(rec):
+    for x in (0.0, -0.0, 0.3, 1.0, 1.0 + 5e-7, 2.5, math.inf, -1.0, math.nan, np.float64(7.0)):
+        rec(f"Alpha.of({x!r})", alpha_view, x)
+
+
+def instance_records(rec, key, inst, solve=True):
+    for a in ORDERS:
+        rec(f"{key} w_alpha({a!r})", nh.w_alpha, inst, a)
+    grid = np.concatenate([np.geomspace(1e-6, 1e6, 40), [1.0, 1.0 + 5e-7, 1.0 - 2e-7]])
+    rec(f"{key} work_curve_values", lambda: second_laws.work_curve_values(inst, grid).tolist())
+    if solve:
+        rec(f"{key} max_extractable_work", nh.max_extractable_work, inst)
+    rec(f"{key} feasible fwd", nh.transition_feasible, inst.cold_initial, inst.cold_final, inst.beta_h)
+    rec(f"{key} feasible bwd", nh.transition_feasible, inst.cold_final, inst.cold_initial, inst.beta_h)
+    for a in ORDERS:
+        rec(f"{key} renyi({a!r})", nh.renyi_divergence, inst.cold_final,
+            nh.thermal_state(inst.spectrum, inst.beta_h), a)
+    rec(f"{key} moments", nh.state_moments, inst.cold_final)
+
+
+def solver_records(rec):
+    rng = np.random.default_rng(20261018)
+    for i in range(160):
+        gaps = tuple(rng.uniform(0.2, 40.0, size=int(rng.integers(1, 4))))
+        t_cold = rng.uniform(1.0, 19.0)
+        t_hot = rng.uniform(1.05 * t_cold, 60.0)
+        beta_c, beta_h = 1.0 / t_cold, 1.0 / t_hot
+        g = min(10 ** rng.uniform(-7, -3), 0.5 * (beta_c - beta_h))
+        eps = g * g if i % 2 else 10 ** rng.uniform(-14, math.log10(0.25))
+        copies = int(rng.integers(1, 4))
+        spectrum = nh.QubitBath(gaps).spectrum()
+        key = f"solve[{i}]"
+        inst = rec.build(key, lambda: nh.quasi_static_instance(
+            spectrum, beta_c, beta_h, g, eps, copies=copies))
+        if inst is None:
+            continue
+        instance_records(rec, key, inst)
+        if i % 2 == 0:
+            rec(f"{key} alpha_min=0.5", nh.max_extractable_work, inst, alpha_min=0.5)
+        perfect = nh.quasi_static_instance(spectrum, beta_c, beta_h, g, 0.0, copies=copies)
+        instance_records(rec, f"{key} eps=0", perfect, solve=False)
+        rec(f"{key} eps=0 curve400", lambda: second_laws.work_curve_values(
+            perfect, np.geomspace(1e-6, 1e6, 400)).tolist())
+
+    # arbitrary final states, failure probabilities up to 0.9, rank-deficient finals
+    for i in range(120):
+        n = int(rng.integers(2, 5))
+        levels = tuple(np.sort(rng.uniform(0.0, 5.0, size=n)))
+        spectrum = nh.EnergySpectrum(levels)
+        beta_c = rng.uniform(0.5, 3.0)
+        beta_h = beta_c * rng.uniform(0.1, 0.9)
+        final = rng.dirichlet(np.ones(n))
+        if i % 3 == 0:
+            final[int(rng.integers(n))] = 0.0
+            final /= final.sum()
+        eps = (0.0, 0.9 * rng.uniform(), 10 ** rng.uniform(-12, -1))[i % 3]
+        key = f"arbitrary[{i}]"
+        copies = int(rng.integers(1, 4))
+        inst = rec.build(key, lambda: nh.TransitionInstance(
+            nh.thermal_state(spectrum, beta_c), nh.DiagonalState(tuple(final), spectrum),
+            beta_h, beta_c, battery(eps), copies=copies))
+        if inst is None:
+            continue
+        instance_records(rec, key, inst, solve=eps > 0)
+
+    # the hot Gibbs state underflows on the excited level (E = 800 at beta_h = 1)
+    spectrum = nh.EnergySpectrum((0.0, 800.0))
+    for eps in (0.0, 1e-6, 0.3):
+        for final in ((1.0, 0.0), (0.5, 0.5)):
+            for copies in (1, 2, 3):
+                inst = nh.TransitionInstance(
+                    nh.thermal_state(spectrum, 2.0), nh.DiagonalState(final, spectrum),
+                    1.0, 2.0, battery(eps), copies=copies)
+                instance_records(rec, f"underflow eps={eps!r} final={final} copies={copies}",
+                                 inst, solve=eps > 0)
+
+    # A <= eps^alpha at an order >= 1
+    qubit = nh.EnergySpectrum((0.0, 1.0))
+    inst = nh.TransitionInstance(nh.thermal_state(qubit, 1.0), nh.DiagonalState((0.1, 0.9), qubit),
+                                 0.5, 1.0, battery(0.9))
+    instance_records(rec, "guard", inst)
+
+    for i in range(3):
+        gaps = tuple(np.random.default_rng(100 + i).uniform(2.0, 30.0, size=12))
+        inst = nh.quasi_static_instance(nh.QubitBath(gaps).spectrum(), 0.1, 1.0 / 15.0, 1e-5, 1e-10)
+        rec(f"12-qubit[{i}] solve", nh.max_extractable_work, inst)
+        rec(f"12-qubit[{i}] feasible", nh.transition_feasible,
+            inst.cold_initial, inst.cold_final, inst.beta_h)
+
+
+def nano_records(rec):
+    rng = np.random.default_rng(1506)
+    for i in range(1500):
+        e = 10 ** rng.uniform(-0.5, 2.5)
+        t_cold = rng.uniform(1.0, 19.5)
+        t_hot = rng.uniform(1.02 * t_cold, 60.0)
+        beta_c, beta_h = 1.0 / t_cold, 1.0 / t_hot
+        key = f"cell[{i}] ({e!r}, {beta_c!r}, {beta_h!r})"
+        rec(f"{key} classify", nh.classify_regime, e, beta_c, beta_h)
+        rec(f"{key} nu", nh.estimate_nu, e, beta_c, beta_h)
+        if i % 5 == 0:
+            kb = rng.uniform(0.05, 0.95)
+            rec(f"{key} infimum({kb!r})", nh.infimum_location, e, beta_c, beta_h, kb)
+        if i % 15 == 0:
+            rec(f"{key} gamma_profile", nh.gamma_profile, e, beta_c, beta_h)
+            probe = np.array([1e-3, 0.5, 1.0, 1.0 + 5e-8, 2.0, 1e3, math.inf])
+            rec(f"{key} gamma", lambda: nh.gamma(e, beta_c, beta_h, probe).tolist())
+            rec(f"{key} g_function", lambda: nh.nano.g_function(e, beta_c, beta_h, probe[:-1]).tolist())
+            rec(f"{key} g_function(1.0)", nh.nano.g_function, e, beta_c, beta_h, 1.0)
+    # cells at the indicator-2 boundary of T = (15, 10)
+    beta_c, beta_h = 0.1, 1.0 / 15.0
+    edge = second_laws._bisect(lambda x: nh.tanh_indicator(x, beta_c, beta_h) < 2.0, 50.0, 70.0)
+    for e in (edge, math.nextafter(edge, 0.0), math.nextafter(edge, 100.0), edge * (1 + 1e-3)):
+        rec(f"edge classify({e!r})", nh.classify_regime, e, beta_c, beta_h)
+
+    for family in (nh.EpsilonFamily.exponential(), nh.EpsilonFamily.log_linear(),
+                   nh.EpsilonFamily.power(), nh.EpsilonFamily.power(2.0, 0.25),
+                   nh.EpsilonFamily.power(1.0, 2.0)):
+        rec(f"{family!r} kappa_bar", nh.estimate_kappa_bar, family)
+        rec(f"{family!r} eval", nh.epsilon_family_eval, family, 1e-5)
+        for e, n in ((45.0, 1), (15.0, 1), (45.0, 3), (30.0, 2)):
+            cfg_key = f"engine({family!r}, {e!r}, n={n})"
+            cfg = rec.build(cfg_key, lambda: nh.QuasiStaticConfig(
+                nh.QubitBath((e,) * n), 0.1, 1.0 / 15.0, 1e-5, family))
+            if cfg is None:
+                continue
+            rec(f"{cfg_key} kappa_bar", getattr, cfg, "kappa_bar")
+            rec(cfg_key, nh.quasistatic_engine, cfg)
+            rec(f"{cfg_key} band", nh.nano.prediction_band, cfg)
+
+
+def macro_extension_records(rec):
+    rng = np.random.default_rng(42)
+    for i in range(40):
+        levels = tuple(np.sort(rng.uniform(0.0, 4.0, size=int(rng.integers(2, 6)))))
+        beta_f, beta_h = rng.uniform(0.3, 2.0), rng.uniform(0.2, 1.0)
+        rec(f"derivative_identities[{i}]", nh.derivative_identities,
+            nh.EnergySpectrum(levels), beta_f, beta_h)
+    rec("derivative_identities tiny beta", nh.derivative_identities, nh.EnergySpectrum((0.0, 1.0)), 1e-6, 0.5)
+    for e, samples, seed, k in ((45.0, 8, 5, "g*g"), (45.0, 3, 6, "g"), (60.0, 4, 1, "g*g"), (15.0, 1, 0, "g*g")):
+        k_of_g = (lambda g: g * g) if k == "g*g" else (lambda g: g)
+        rec(f"correlated_bound_check({e!r}, k={k}, seed={seed})", nh.correlated_bound_check,
+            e, 0.1, 1.0 / 15.0, 1e-4, k_of_g, samples=samples, seed=seed)
+    cold = nh.thermal_state(nh.EnergySpectrum((0.0, 2.0)), 0.3)
+    machine_spec = nh.EnergySpectrum((0.0, 0.0))
+    for i in range(30):
+        machine = nh.DiagonalState(tuple(rng.dirichlet(np.ones(2))), machine_spec)
+        state = nh.sample_correlated_state(cold, machine, 1e-3, rng.uniform(), rng)
+        rec(f"chi[{i}]", nh.chi, state, 1e-3, 0.5)
+        rec(f"entropy[{i}]", extensions._entropy, state.mixture)
+    for i in range(30):
+        n = int(rng.integers(1, 6))
+        state = nh.DiagonalState(tuple(rng.dirichlet(np.ones(n))), nh.EnergySpectrum(tuple(rng.uniform(0, 3, n))))
+        rec(f"state_moments[{i}]", nh.state_moments, state)
+
+
+CLI_RUNS = {
+    "sweep-energy": ["sweep", "--mode", "energy", "--t-hot", "15", "--t-cold", "10",
+                     "--lo", "1", "--hi", "60", "--steps", "120"],
+    "sweep-tcold": ["sweep", "--mode", "tcold", "--t-hot", "20", "--e-min", "15",
+                    "--lo", "1", "--hi", "19.5", "--steps", "120"],
+    "sweep-thot": ["sweep", "--mode", "thot", "--t-cold", "5", "--e-min", "15",
+                   "--lo", "5.5", "--hi", "60", "--steps", "120"],
+    "sweep-log-linear": ["sweep", "--mode", "energy", "--t-hot", "15", "--t-cold", "10",
+                         "--lo", "1", "--hi", "60", "--steps", "7", "--family", "log_linear"],
+    "work": ["work", "--e", "45", "--t-hot", "15", "--t-cold", "10", "--g", "1e-5"],
+    "work-n3-eps": ["work", "--e", "15", "--t-hot", "15", "--t-cold", "10", "--n", "3", "--eps", "1e-8"],
+    "feasible": ["feasible", "--levels", "0,1", "--p0", "0.7,0.3", "--p1", "0.6,0.4", "--t-hot", "2"],
+    "feasible-3": ["feasible", "--levels", "2,0,1", "--p0", "0.2,0.5,0.3", "--p1", "0.1,0.8,0.1",
+                   "--t-hot", "0.7"],
+    "classify": ["classify", "--e", "45", "--t-hot", "15", "--t-cold", "10"],
+    "classify-low": ["classify", "--e", "15", "--t-hot", "15", "--t-cold", "10"],
+    "multicycle": ["multicycle", "--w", "1", "--e", "15", "--t-hot", "15", "--t-cold", "10",
+                   "--kappa-bar", "0.5"],
+    "missing": ["work", "--e", "45"],
+    "bad-temperatures": ["classify", "--e", "45", "--t-hot", "10", "--t-cold", "15"],
+}
+
+
+def cli_records(rec):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in CLI_RUNS.items():
+            out = pathlib.Path(tmp) / f"{name}.csv"
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.run_command(argv + ["--output", str(out)])
+            rec.write(f"cli {name} exit", code)
+            rec.write(f"cli {name} stdout", repr(stdout.getvalue().replace(str(out), "OUT")))
+            rec.write(f"cli {name} stderr", repr(stderr.getvalue()))
+            lines = out.read_bytes().split(b"\n") if out.exists() else [b"<no file>"]
+            for i, line in enumerate(lines):
+                rec.write(f"cli {name} csv[{i}]", repr(line))
+
+
+def main(argv):
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 1
+    with open(argv[0], "w", encoding="utf-8", newline="\n") as fh:
+        rec = Recorder(fh)
+        alpha_records(rec)
+        solver_records(rec)
+        nano_records(rec)
+        macro_extension_records(rec)
+        cli_records(rec)
+    print(f"{rec.count} records -> {argv[0]}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -341,14 +341,14 @@ def run_command(argv) -> int:
     """Dispatch one command line; returns the process exit code."""
     parser, subparsers = _build_parser()
     try:
-        # pre-scan for --config: each subcommand checks the keys it knows as
-        # --key=value flags (the = keeps values like -1,0), then takes them as defaults
-        if "--config" in argv:
-            at = argv.index("--config")
-            if at + 1 >= len(argv):
-                raise _CliError("--config needs a path")
-            config = _load_config(argv[at + 1])
-            argv = argv[:at] + argv[at + 2 :]
+        # --config is taken out first, in either form and before or after the
+        # subcommand; each subcommand checks the keys it knows as --key=value
+        # flags (the = keeps values like -1,0), then takes them as defaults
+        pre = _ArgumentParser(add_help=False, allow_abbrev=False)
+        pre.add_argument("--config")
+        found, argv = pre.parse_known_args(argv)
+        if found.config is not None:
+            config = _load_config(found.config)
             known = set()
             for sub in subparsers.values():
                 keys = [k for k in config if k in vars(sub.parse_args([]))]

@@ -20,6 +20,7 @@ from .nano import carnot_efficiency, omega_single, quasistatic_efficiency
 from .thermo import (
     DiagonalState,
     EnergySpectrum,
+    _entropy,
     state_moments,
     thermal_state,
 )
@@ -30,11 +31,6 @@ MARGINAL_TOL = 1e-12
 #: Additive band on the efficiency bound checks at g = 1e-4, consistent with
 #: the frozen remainder constants of the quasi-static engine.
 ETA_BAND = 1e-2
-
-
-def _entropy(t: np.ndarray) -> float:
-    s = t[t > 0]
-    return float(-np.sum(s * np.log(s)))
 
 
 def _marginals(t: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -104,18 +100,18 @@ def chi(state: CorrelatedFinalState, eps: float, beta_h: float) -> float:
     return (_entropy(state.no_corr) - _entropy(state.mixture)) / (beta_h * (1.0 - eps))
 
 
-def _ipf(target_margins: Sequence[np.ndarray], rng: np.random.Generator, iters: int = 400) -> np.ndarray:
+def _ipf(target_margins: Sequence[np.ndarray], rng: np.random.Generator) -> np.ndarray:
     """Random joint tensor with the given strictly positive marginals.
 
-    Iterative proportional fitting from a random positive start; converges
-    geometrically for positive tensors. The log-normal start keeps the
-    fitted tensor's interaction structure (which fitting preserves exactly)
-    well away from the product case for typical draws.
+    Iterative proportional fitting, at most 400 sweeps, from a random positive
+    start; converges geometrically for positive tensors. The log-normal start
+    keeps the fitted tensor's interaction structure (which fitting preserves
+    exactly) well away from the product case for typical draws.
     """
     dims = tuple(m.size for m in target_margins)
     t = np.exp(rng.normal(0.0, 1.5, size=dims))
     t /= t.sum()
-    for _ in range(iters):
+    for _ in range(400):
         for axis, target in enumerate(target_margins):
             current = t.sum(axis=tuple(d for d in range(t.ndim) if d != axis))
             shape = [1] * t.ndim
@@ -210,12 +206,12 @@ def correlated_bound_check(
     k_of_g: Callable[[float], float],
     samples: int,
     seed: int = 0,
-    eps_of_g: Callable[[float], float] | None = None,
 ) -> CorrelatedBoundReport:
     """Sampled correlated final states never beat the reduced efficiency.
 
-    Runs in the Omega > 1 regime: for each sample the max-ratio work bound is
-    solved for the correlated mixture and converted to an efficiency, which
+    Runs in the Omega > 1 regime at failure probability g**2: for each sample
+    the max-ratio work bound is solved for the correlated mixture and
+    converted to an efficiency, which
     must stay below the reduced value plus the frozen band and below Carnot
     by a clear margin. Whether the correlation weight vanishes faster than
     the quasi-static step is reported (a necessary condition for approaching
@@ -229,7 +225,7 @@ def correlated_bound_check(
     k = float(k_of_g(g))
     if not 0.0 <= k <= 1.0:
         raise ParameterError("correlation weight must lie in [0, 1]")
-    eps = float(eps_of_g(g)) if eps_of_g is not None else g * g
+    eps = g * g
     ratio_here = k / g
     ratio_finer = float(k_of_g(g / 10.0)) / (g / 10.0)
     vanishes = ratio_finer < 0.99 * ratio_here if ratio_here > 0 else True

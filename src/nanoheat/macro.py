@@ -182,16 +182,16 @@ def thermal_optimality_check(
 
 
 def derivative_identities(
-    spectrum: EnergySpectrum, beta_f: float, beta_h: float, step: float = FD_STEP
+    spectrum: EnergySpectrum, beta_f: float, beta_h: float
 ) -> DerivativeReport:
-    """Central finite differences against the closed-form derivative identities.
+    """Central finite differences (step FD_STEP) against the closed-form derivative identities.
 
     Checked at beta_f: d<H>/db = -var, dS/db = -b*var, d(mean-energy shift)/db
     = -var, and dW/db = ((beta_h - beta_f)/beta_h) * var.
     """
     if beta_f <= 0 or beta_h <= 0:
         raise ParameterError("temperatures must be positive")
-    if beta_f - step <= 0:
+    if beta_f - FD_STEP <= 0:
         raise ParameterError("finite-difference step too large for this beta_f")
     tau_h = thermal_state(spectrum, beta_h)
 
@@ -216,16 +216,12 @@ def derivative_identities(
     identities = []
     ok = True
     for name, f, analytic in checks:
-        fd = (f(beta_f + step) - f(beta_f - step)) / (2.0 * step)
+        fd = (f(beta_f + FD_STEP) - f(beta_f - FD_STEP)) / (2.0 * FD_STEP)
         scale = max(abs(analytic), abs(var))  # variance sets the scale when the identity is 0
         rel = abs(fd - analytic) / scale if scale > 0 else abs(fd - analytic)
         identities.append(DerivativeIdentity(name, float(fd), float(analytic), float(rel)))
         ok = ok and rel <= 1e-6
     return DerivativeReport(tuple(identities), ok)
-
-
-def _nominal_battery(eps: float) -> BatterySpec:
-    return BatterySpec(EnergySpectrum((0.0, 1.0)), 0, 1, eps)
 
 
 def quasi_static_instance(
@@ -239,7 +235,7 @@ def quasi_static_instance(
         cold_final=thermal_state(spectrum, beta_c - g),
         beta_h=beta_h,
         beta_c=beta_c,
-        battery=_nominal_battery(eps),
+        battery=BatterySpec(EnergySpectrum((0.0, 1.0)), 0, 1, eps),
         copies=copies,
     )
 

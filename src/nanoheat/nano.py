@@ -112,12 +112,13 @@ def epsilon_family_eval(family: EpsilonFamily, g: float) -> Tuple[float, float, 
     return family.eval(g), family.kappa_bar, family.sigma
 
 
-def estimate_kappa_bar(family: EpsilonFamily, g_hi: float = 1e-11) -> float:
-    """Numerical decay exponent from the slope of ln(eps) vs ln(g) over one decade.
+def estimate_kappa_bar(family: EpsilonFamily) -> float:
+    """Numerical decay exponent from the slope of ln(eps) vs ln(g) over the decade below 1e-11.
 
     For eps ~ g**(1/k) the slope is 1/k, so the estimate is 1/slope. Diverging
     slopes (the exponential family) give an estimate near 0.
     """
+    g_hi = 1e-11
     g_lo = g_hi / 10.0
     slope = (family.log_eval(g_hi) - family.log_eval(g_lo)) / (math.log(g_hi) - math.log(g_lo))
     return 1.0 / slope
@@ -260,12 +261,9 @@ class GammaProfile:
             raise NumericalInconsistencyError("gamma must be positive at every sampled order")
 
 
-def gamma_profile(
-    e_gap: float, beta_c: float, beta_h: float, alphas: Sequence[float] | None = None
-) -> GammaProfile:
-    if alphas is None:
-        alphas = np.geomspace(1e-3, 1e3, 241)
-    alphas = np.asarray(alphas, dtype=float)
+def gamma_profile(e_gap: float, beta_c: float, beta_h: float) -> GammaProfile:
+    """gamma at 241 log-spaced orders over [1e-3, 1e3]."""
+    alphas = np.geomspace(1e-3, 1e3, 241)
     values = gamma(e_gap, beta_c, beta_h, alphas)
     return GammaProfile(
         e_gap=float(e_gap),
@@ -317,28 +315,23 @@ def g_function(e_gap: float, beta_c: float, beta_h: float, alpha) -> np.ndarray 
     x2 = _x2(e_gap, beta_c, beta_h, a)
     x3 = _x3(e_gap, beta_c, beta_h, a)
     y = _y(e_gap, beta_c, beta_h, a)
-    num_log = np.maximum(x1, x2) + np.log1p(-np.exp(-np.abs(x1 - x2)))
-    den_log = np.logaddexp(x3, x1)
-    log_ratio = (
-        -math.log(e_gap)
-        - float(np.logaddexp(0.0, beta_c * e_gap))
-        - math.log(beta_c - beta_h)
-        + num_log
-        + den_log
-        - y
-    )
     sign = np.sign(a - 1.0)
-    with np.errstate(over="ignore"):
+    # num_log is ln 0 = -inf at a = 1, where the result is 0
+    with np.errstate(divide="ignore", over="ignore"):
+        num_log = np.maximum(x1, x2) + np.log1p(-np.exp(-np.abs(x1 - x2)))
+        den_log = np.logaddexp(x3, x1)
+        log_ratio = (
+            -math.log(e_gap)
+            - float(np.logaddexp(0.0, beta_c * e_gap))
+            - math.log(beta_c - beta_h)
+            + num_log
+            + den_log
+            - y
+        )
         ratio = sign * np.exp(log_ratio)
     ratio = np.where(a == 1.0, 0.0, ratio)
     out = a * (a - 1.0) - ratio
     return float(out[0]) if scalar else out
-
-
-def _bisect_root(f, lo: float, hi: float) -> float:
-    """Sign change of f in [lo, hi]: the root lies above x while f(x) has f(lo)'s sign."""
-    positive_at_lo = f(lo) > 0
-    return _bisect(lambda x: (f(x) > 0) == positive_at_lo, lo, hi)
 
 
 #: Case labels for the sign pattern of the derivative of gamma.
@@ -402,10 +395,12 @@ def classify_regime(e_gap: float, beta_c: float, beta_h: float) -> RegimeClassif
     vals = g_function(e_gap, beta_c, beta_h, grid)
     roots = []
     for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if b < 1.0 < a or (a < 1.0 < b):
+        if a < 1.0 < b:
             continue  # bracket spanning the excluded seam
         if (fa > 0) != (fb > 0):
-            roots.append(_bisect_root(lambda x: g_function(e_gap, beta_c, beta_h, x), a, b))
+            # the root lies above x while g(x) keeps the sign g has at a
+            up = fa > 0
+            roots.append(_bisect(lambda x: (g_function(e_gap, beta_c, beta_h, x) > 0) == up, a, b))
     below = [r for r in roots if r < 1.0]
     above = [r for r in roots if r > 1.0]
 
@@ -456,7 +451,7 @@ def estimate_nu(e_gap: float, beta_c: float, beta_h: float) -> float:
     lo = 1e-8
     if f(lo) > 0:
         return 0.0
-    return _bisect_root(f, lo, 1.0 - 1e-9)
+    return _bisect(lambda k: not f(k) > 0, lo, 1.0 - 1e-9)
 
 
 def infimum_location(e_gap: float, beta_c: float, beta_h: float, kappa_bar: float) -> Alpha:
@@ -497,19 +492,18 @@ class QuasiStaticConfig:
     beta_h: float
     g: float
     family: EpsilonFamily
-    kappa_bar: float | None = None
 
     def __post_init__(self):
         if not (self.beta_c > self.beta_h > 0):
             raise ParameterError("need beta_c > beta_h > 0")
         if not (0 < self.g < self.beta_c - self.beta_h):
             raise ParameterError("need 0 < g < beta_c - beta_h")
-        kb = self.family.kappa_bar if self.kappa_bar is None else float(self.kappa_bar)
-        if kb < 0.0:
-            raise ParameterError("decay exponent must be nonnegative")
-        # exponents above 1 are allowed so the failing families can be
-        # demonstrated; the engine prediction itself requires [0, 1]
-        object.__setattr__(self, "kappa_bar", kb)
+
+    @property
+    def kappa_bar(self) -> float:
+        """The family's decay exponent. Exponents above 1 are allowed so the failing
+        families can be demonstrated; the engine prediction itself requires [0, 1]."""
+        return self.family.kappa_bar
 
     @property
     def beta_f(self) -> float:

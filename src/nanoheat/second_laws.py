@@ -55,7 +55,7 @@ TAIL_REL_TOL = 10.0 / ALPHA_GRID_MAX
 FEASIBILITY_TOL = 1e-12
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_BIG = 1e300  # stand-in for +inf inside the scalar minimizer
+_BIG = 1e300  # finite stand-in for inf: in the scalar minimizer, and as a floor for ln A
 
 
 # ---------------------------------------------------------------------------
@@ -243,24 +243,23 @@ def work_curve_values(inst: TransitionInstance, alphas) -> np.ndarray:
     if np.any(rest):
         a = alphas[rest]
         ln_a = _log_a(inst, a)
-        if eps == 0.0:
-            out[rest] = ln_a / (inst.beta_h * (a - 1.0))
-        else:
-            ln_eps = math.log(eps)
-            gap = a * ln_eps - ln_a
-            vals = np.full(a.shape, math.inf)
-            ok = gap < 0
-            bad_high = (~ok) & (a >= 1.0)
-            if np.any(bad_high):
-                raise ConstraintViolationError(
-                    "A - eps^alpha <= 0 at an order >= 1; not a valid engine instance"
-                )
-            vals[ok] = (
-                ln_a[ok]
-                + np.log1p(-np.exp(gap[ok]))
-                - a[ok] * math.log1p(-eps)
-            ) / (inst.beta_h * (a[ok] - 1.0))
-            out[rest] = vals
+        ln_eps = math.log(eps) if eps > 0.0 else -math.inf
+        # ln(eps^a / A); clipping ln A keeps it -inf, not nan, at eps = A = 0, so
+        # the bound there is ln A / (beta_h (a - 1)) = -inf, as for any A at eps = 0
+        gap = a * ln_eps - np.maximum(ln_a, -_BIG)
+        vals = np.full(a.shape, math.inf)
+        ok = gap < 0
+        bad_high = (~ok) & (a >= 1.0)
+        if np.any(bad_high):
+            raise ConstraintViolationError(
+                "A - eps^alpha <= 0 at an order >= 1; not a valid engine instance"
+            )
+        vals[ok] = (
+            ln_a[ok]
+            + np.log1p(-np.exp(gap[ok]))
+            - a[ok] * math.log1p(-eps)
+        ) / (inst.beta_h * (a[ok] - 1.0))
+        out[rest] = vals
     return out
 
 
@@ -285,18 +284,18 @@ def w_alpha(inst: TransitionInstance, alpha) -> float:
 # the infimum solver
 # ---------------------------------------------------------------------------
 
-def _probe_tree(a: float, b: float, x1: float, x2: float, steps: int, tol: float) -> list:
+def _probe_tree(a: float, b: float, x1: float, x2: float, steps: int) -> list:
     """The points the next ``steps`` golden-section steps could probe from the
     bracket (a, b) with inner points x1 < x2, before the first of them knows
     which side it keeps: the f1 <= f2 branch, then the other, each followed by
     its own subtree. The arithmetic is that of the loop in ``_golden_section``."""
-    if steps <= 0 or not b - a > tol:
+    if steps <= 0 or not b - a > REFINE_WIDTH:
         return []
     lx1 = x2 - _GOLDEN * (x2 - a)
     rx2 = x1 + _GOLDEN * (b - x1)
     return (
-        [lx1] + _probe_tree(a, x2, lx1, x1, steps - 1, tol)
-        + [rx2] + _probe_tree(x1, b, x2, rx2, steps - 1, tol)
+        [lx1] + _probe_tree(a, x2, lx1, x1, steps - 1)
+        + [rx2] + _probe_tree(x1, b, x2, rx2, steps - 1)
     )
 
 
@@ -308,9 +307,9 @@ def _speculation_depth(levels: int) -> int:
     return d
 
 
-def _golden_section(f_many, lo: float, hi: float, depth: int = 1,
-                    tol: float = REFINE_WIDTH, max_iter: int = 200):
-    """Golden-section minimization on [lo, hi]; returns (x, f(x), final width).
+def _golden_section(f_many, lo: float, hi: float, depth: int, max_iter: int = 200):
+    """Golden-section minimization on [lo, hi] down to a bracket of REFINE_WIDTH;
+    returns (x, f(x), final width).
 
     ``f_many`` maps a list of points to their values. Each call gets the point
     the loop needs now and every point the next ``depth - 1`` steps could probe
@@ -338,7 +337,7 @@ def _golden_section(f_many, lo: float, hi: float, depth: int = 1,
     def look(x):
         # x was just placed by the step that left the bracket (a, b, x1, x2)
         if x not in known:
-            fetch([x] + _probe_tree(a, b, x1, x2, min(depth - 1, max_iter - it - 1), tol))
+            fetch([x] + _probe_tree(a, b, x1, x2, min(depth - 1, max_iter - it - 1)))
         return known[x]
 
     a, b = lo, hi
@@ -346,10 +345,10 @@ def _golden_section(f_many, lo: float, hi: float, depth: int = 1,
     x2 = a + _GOLDEN * (b - a)
     it = 0
     if depth > 1:
-        fetch([x1, x2] + _probe_tree(a, b, x1, x2, min(depth - 1, max_iter), tol))
+        fetch([x1, x2] + _probe_tree(a, b, x1, x2, min(depth - 1, max_iter)))
     f1 = look(x1)
     f2 = look(x2)
-    while b - a > tol and it < max_iter:
+    while b - a > REFINE_WIDTH and it < max_iter:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
@@ -387,8 +386,9 @@ def max_extractable_work(inst: TransitionInstance, alpha_min: float = ALPHA_GRID
     minimum is refined by golden-section search in ln(alpha) down to a bracket
     of width <= 1e-8. Each curve call of the refinement evaluates the orders of
     several steps; how many follows from the spectrum size. W_ext is at most
-    every sampled value. ``alpha_min`` is the optional lower cutoff used by the
-    quasi-static analysis; the default covers the whole positive axis.
+    every sampled value. ``alpha_min`` is an optional lower cutoff of the orders;
+    no caller in the package sets it (tests and library callers do), and the
+    default covers the whole positive axis.
 
     The reported argmin is INFINITY whenever the analytic infinite-order value
     is the smallest candidate, or when the refined minimum sits on the grid

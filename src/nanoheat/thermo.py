@@ -63,7 +63,6 @@ class EnergySpectrum:
     """
 
     levels: Tuple[float, ...]
-    label: str | None = None
 
     def __post_init__(self):
         try:
@@ -89,12 +88,6 @@ class EnergySpectrum:
         if beta <= 0:
             raise ParameterError(f"beta must be positive, got {beta}")
         return float(logsumexp(-beta * self.array))
-
-    def __eq__(self, other):
-        return isinstance(other, EnergySpectrum) and self.levels == other.levels
-
-    def __hash__(self):
-        return hash(self.levels)
 
 
 @dataclass(frozen=True)
@@ -153,63 +146,49 @@ class DiagonalState:
 
 @dataclass(frozen=True)
 class Alpha:
-    """Tagged Renyi order: zero, a finite positive real (!= 1), one, or infinity."""
+    """Renyi order in [0, inf]; its value tells zero, one and infinity from a
+    finite positive real."""
 
-    kind: str
-    value: float = math.nan
-
-    _KINDS = ("zero", "finite", "one", "infinity")
+    value: float
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ParameterError(f"unknown alpha kind {self.kind!r}")
-        if self.kind == "finite" and not (math.isfinite(self.value) and self.value > 0):
-            raise ParameterError("finite alpha must be a positive real")
+        x = float(self.value)
+        if not x >= 0:
+            raise ParameterError(f"Renyi order must be in [0, inf], got {x}")
+        object.__setattr__(self, "value", x + 0.0)  # -0.0 is the order 0
 
     @classmethod
     def of(cls, x) -> "Alpha":
-        """Coerce a float (or Alpha) to a tagged order. 0 -> ZERO, 1 -> ONE, inf -> INFINITY."""
-        if isinstance(x, Alpha):
-            return x
-        x = float(x)
-        if x == 0.0:
-            return cls.ZERO
-        if x == 1.0:
-            return cls.ONE
-        if math.isinf(x) and x > 0:
-            return cls.INFINITY
-        if not (x > 0) or not math.isfinite(x):
-            raise ParameterError(f"Renyi order must be in [0, inf], got {x}")
-        return cls("finite", x)
+        """Coerce a float (or Alpha) to an order."""
+        return x if isinstance(x, Alpha) else cls(x)
 
     @property
     def is_zero(self):
-        return self.kind == "zero"
+        return self.value == 0.0
 
     @property
     def is_one(self):
-        return self.kind == "one"
+        return self.value == 1.0
 
     @property
     def is_infinity(self):
-        return self.kind == "infinity"
+        return self.value == math.inf
 
     @property
     def is_finite(self):
-        return self.kind == "finite"
+        return not (self.is_zero or self.is_one or self.is_infinity)
 
     def __float__(self):
-        return {"zero": 0.0, "one": 1.0, "infinity": math.inf}.get(self.kind, self.value)
+        return self.value
 
     def __repr__(self):
-        if self.kind == "finite":
-            return f"Alpha({self.value!r})"
-        return f"Alpha.{self.kind.upper()}"
+        name = {0.0: "ZERO", 1.0: "ONE", math.inf: "INFINITY"}.get(self.value)
+        return f"Alpha.{name}" if name else f"Alpha({self.value!r})"
 
 
-Alpha.ZERO = Alpha("zero", 0.0)
-Alpha.ONE = Alpha("one", 1.0)
-Alpha.INFINITY = Alpha("infinity", math.inf)
+Alpha.ZERO = Alpha(0.0)
+Alpha.ONE = Alpha(1.0)
+Alpha.INFINITY = Alpha(math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +214,13 @@ def state_moments(state: DiagonalState) -> Tuple[float, float, float]:
     e = state.spectrum.array
     mean = float(p @ e)
     var = float(p @ (e * e)) - mean * mean
-    support = p > 0
-    entropy = float(-np.sum(p[support] * np.log(p[support])))
-    return mean, var, entropy
+    return mean, var, _entropy(p)
+
+
+def _entropy(p: np.ndarray) -> float:
+    """Shannon entropy in nats of a probability array of any shape."""
+    s = p[p > 0]
+    return float(-np.sum(s * np.log(s)))
 
 
 def binary_entropy(eps: float) -> float:

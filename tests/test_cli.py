@@ -237,6 +237,19 @@ def test_config_value_with_leading_minus(tmp_path, capsys):
     assert run_command(["feasible", "--config", str(conf)]) == 0
     assert capsys.readouterr().out.startswith("feasible:")
 
+
+@pytest.mark.parametrize("before", [True, False], ids=["before-command", "after-command"])
+@pytest.mark.parametrize("joined", [True, False], ids=["equals", "two-tokens"])
+def test_config_option_in_either_form_and_position(tmp_path, capsys, before, joined):
+    conf = tmp_path / "g.cfg"
+    conf.write_text("g = 1e-3\n")
+    option = [f"--config={conf}"] if joined else ["--config", str(conf)]
+    command = ["work", "--e", "45", "--t-hot", "15", "--t-cold", "10"]
+    argv = option + command if before else command + option
+    assert run_command(argv) == 0
+    assert "eps=1e-06" in capsys.readouterr().out  # eps = g**2 of the file's g
+
+
 def test_exit_code_on_io_failure(tmp_path):
     missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert run_command(sweep_args(missing_dir, steps=2)) == 2

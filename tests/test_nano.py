@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,14 +27,17 @@ from nanoheat import (
     thermal_state,
 )
 from nanoheat.nano import (
+    CASE_EQ2,
     CASE_GT2,
     CASE_LT2,
     b_alpha,
     b_alpha_generic,
     b_alpha_prime,
+    g_function,
     gamma_infinity,
     gamma_one,
 )
+from nanoheat.second_laws import _bisect
 
 from conftest import make_rng
 
@@ -161,6 +165,22 @@ def test_classify_carnot_regime():
     assert cls.omega <= 1.0
     assert cls.carnot_achievable
     assert cls.eta_quasistatic == pytest.approx(1 / 3, abs=1e-12)
+
+
+def test_classify_at_indicator_two():
+    e = _bisect(lambda x: tanh_indicator(x, BC, BH) < 2.0, 50.0, 70.0)
+    assert e == pytest.approx(60.2897, abs=1e-4)
+    cls = classify_regime(e, BC, BH)
+    assert cls.g_case == CASE_EQ2
+    assert cls.g_sign_changes == ()
+
+
+def test_g_function_order_one_is_zero_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert g_function(45.0, BC, BH, 1.0) == 0.0
+        values = g_function(45.0, BC, BH, np.array([0.5, 1.0, 2.0]))
+    assert values[1] == 0.0 and np.all(np.isfinite(values))
 
 
 def test_classify_sign_pattern_consistency_random():

@@ -510,6 +510,30 @@ def test_hot_gibbs_underflow_splits_the_orders():
     with pytest.raises(DomainError):
         transition_feasible(inst.cold_initial, inst.cold_final, inst.beta_h)
 
+def test_orders_with_a_below_eps_power_raise():
+    # A <= eps^alpha at an order above 1: no work satisfies that law
+    inst = TransitionInstance(
+        thermal_state(QUBIT, 1.0), DiagonalState((0.1, 0.9), QUBIT), 0.5, 1.0, battery(0.9)
+    )
+    with pytest.raises(ConstraintViolationError):
+        work_curve_values(inst, [1.5])
+    with pytest.raises(ConstraintViolationError):
+        w_alpha(inst, 1.5)
+    with pytest.raises(ConstraintViolationError):
+        max_extractable_work(inst)
+
+
+def test_perfect_work_onto_an_underflowed_level_is_minus_infinity():
+    # eps = 0 and a final state on a level where the hot Gibbs state is 0: above
+    # order 1 A is 0, and the bound ln A / (beta_h (a - 1)) is -inf
+    spectrum = EnergySpectrum((0.0, 800.0))
+    inst = TransitionInstance(
+        thermal_state(spectrum, 2.0), DiagonalState((0.5, 0.5), spectrum), 1.0, 2.0, battery(0.0)
+    )
+    assert work_curve_values(inst, [2.5, 1e3]).tolist() == [-math.inf, -math.inf]
+    assert math.isfinite(w_alpha(inst, 0.3))
+
+
 def test_validation_negative_paths():
     with pytest.raises(ParameterError):
         BatterySpec(EnergySpectrum((0.0, 1.0)), 1, 0, 0.1)  # charged below start

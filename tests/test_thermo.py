@@ -300,6 +300,20 @@ def test_alpha_coercion():
         Alpha.of(-1.0)
 
 
+def test_alpha_is_its_value():
+    # the value alone decides the branch; -0.0 is the order 0
+    assert (Alpha(0.0), Alpha(1.0), Alpha(math.inf)) == (Alpha.ZERO, Alpha.ONE, Alpha.INFINITY)
+    assert math.copysign(1.0, float(Alpha.of(-0.0))) == 1.0 and Alpha.of(-0.0).is_zero
+    assert [repr(Alpha.of(x)) for x in (0.0, 1.0, math.inf, 0.5)] == [
+        "Alpha.ZERO", "Alpha.ONE", "Alpha.INFINITY", "Alpha(0.5)"
+    ]
+    assert Alpha.of(0.5).is_finite
+    assert not any(a.is_finite for a in (Alpha.ZERO, Alpha.ONE, Alpha.INFINITY))
+    for bad in (math.nan, -math.inf, -1e-300):
+        with pytest.raises(ParameterError):
+            Alpha(bad)
+
+
 def test_logsumexp_handles_edge_cases():
     assert logsumexp([]) == -math.inf
     assert logsumexp([-math.inf, 0.0]) == pytest.approx(0.0, abs=1e-15)
