@@ -6,12 +6,14 @@
 Imports nanoheat from the ``src/`` next to this script, draws every input from
 fixed seeds, and writes ``key -> repr(result)`` per record (``!ExceptionType``
 when the call raises), plus the exit code, stdout and CSV lines of the five CLI
-subcommands. Run it in two checkouts and ``cmp`` the files: a refactor that
+subcommands and the ``--help`` text of ``nanoheat`` and of each subcommand, at a
+fixed width of 80 columns. Run it in two checkouts and ``cmp`` the files: a refactor that
 keeps every output bit for bit leaves them identical.
 """
 import contextlib
 import io
 import math
+import os
 import pathlib
 import sys
 import tempfile
@@ -258,6 +260,21 @@ def cli_records(rec):
                 rec.write(f"cli {name} csv[{i}]", repr(line))
 
 
+def help_records(rec):
+    os.environ["COLUMNS"] = "80"  # argparse wraps help text to the terminal width
+    for argv in ([], ["sweep"], ["work"], ["feasible"], ["classify"], ["multicycle"]):
+        key = "cli " + " ".join(argv + ["--help"])
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            try:
+                code = cli.run_command(argv + ["--help"])
+            except SystemExit as exc:  # argparse exits after printing help
+                code = exc.code
+        rec.write(f"{key} exit", code)
+        for i, line in enumerate(stdout.getvalue().split("\n")):
+            rec.write(f"{key} stdout[{i}]", repr(line))
+
+
 def main(argv):
     if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
@@ -269,6 +286,7 @@ def main(argv):
         nano_records(rec)
         macro_extension_records(rec)
         cli_records(rec)
+        help_records(rec)
     print(f"{rec.count} records -> {argv[0]}")
     return 0
 

@@ -12,7 +12,6 @@ failure while writing results.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -40,6 +39,28 @@ SWEEP_HEADER = (
 
 OUT_OF_REGIME = "OUT_OF_REGIME"
 
+#: Sweep mode -> (the _sweep_point argument it varies, the two options it holds).
+_SWEEP_MODES = {
+    "energy": ("e_gap", ("t-hot", "t-cold")),
+    "tcold": ("t_cold", ("t-hot", "e-min")),
+    "thot": ("t_hot", ("t-cold", "e-min")),
+}
+
+#: Multicycle CSV columns after n_cycles: the name, then the field of the
+#: cycle's ledger (0) or convergence report (1) that fills it.
+_MULTICYCLE_COLUMNS = (
+    ("g", 0, "g"),
+    ("eps", 0, "eps"),
+    ("w_cyc", 0, "w_cyc"),
+    ("r", 0, "r"),
+    ("battery_entropy", 0, "battery_entropy"),
+    ("eta", 0, "eta"),
+    ("delta_eta", 1, "eta_gap"),
+    ("delta_work", 1, "work_gap"),
+    ("delta_entropy", 1, "battery_entropy"),
+    ("delta_top_weight", 1, "top_weight_gap"),
+)
+
 
 class _CliError(Exception):
     """Configuration-level failure; maps to exit code 1."""
@@ -56,18 +77,14 @@ def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return f"{value:.12g}"
+        return f"{value:.12g}"  # "nan" for every NaN
     return str(value)
 
 
 def write_csv(rows, header, path) -> None:
     """UTF-8 CSV, comma separated, floats at 12 significant digits, LF endings."""
-    width = len(header)
-    for row in rows:
-        if len(row) != width:
-            raise ParameterError("rows must be rectangular")
+    if any(len(row) != len(header) for row in rows):
+        raise ParameterError("rows must be rectangular")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -81,13 +98,28 @@ def _require(args, *names):
         raise _CliError(f"missing required options (flag or config): {flags}")
 
 
+def positive(text: str) -> float:
+    """argparse type of a temperature or a gap: a float above 0, not NaN (a
+    non-number gets argparse's "invalid positive value" message)."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _betas(*temperatures: float) -> tuple:
+    """Inverse temperatures (k_B = 1) of baths given hottest first, each colder
+    than the one before; the option types keep every temperature positive."""
+    betas = tuple(1.0 / t for t in temperatures)
+    if any(not b > a for a, b in zip(betas, betas[1:])):
+        raise _CliError("need t_cold < t_hot")
+    return betas
+
+
 def _family_from_args(args) -> nano.EpsilonFamily:
-    kind = args.family
-    if kind == "power":
+    if args.family == "power":
         return nano.EpsilonFamily.power(args.family_c, args.family_k)
-    if kind == "log_linear":
-        return nano.EpsilonFamily.log_linear()
-    return nano.EpsilonFamily.exponential()
+    return nano.EpsilonFamily(args.family)
 
 
 def _sweep_point(e_gap, t_hot, t_cold, g, family):
@@ -110,29 +142,16 @@ def _sweep_point(e_gap, t_hot, t_cold, g, family):
 
 def _cmd_sweep(args) -> int:
     _require(args, "mode", "lo", "hi", "steps", "output")
-    if args.mode == "energy":
-        _require(args, "t-hot", "t-cold")
-    elif args.mode == "tcold":
-        _require(args, "t-hot", "e-min")
-    else:
-        _require(args, "t-cold", "e-min")
+    varied, held = _SWEEP_MODES[args.mode]
+    _require(args, *held)
     if args.lo >= args.hi:
         raise _CliError("--lo must be below --hi")
     if args.steps < 2:
         raise _CliError("--steps must be at least 2")
-    family = _family_from_args(args)
+    fixed = {"e_gap": args.e_min, "t_hot": args.t_hot, "t_cold": args.t_cold,
+             "g": args.g, "family": _family_from_args(args)}
     values = np.linspace(args.lo, args.hi, args.steps)
-
-    def point(x):
-        if args.mode == "energy":
-            row = _sweep_point(x, args.t_hot, args.t_cold, args.g, family)
-        elif args.mode == "tcold":
-            row = _sweep_point(args.e_min, args.t_hot, x, args.g, family)
-        else:
-            row = _sweep_point(args.e_min, x, args.t_cold, args.g, family)
-        return [float(x)] + row
-
-    rows = [point(x) for x in values]
+    rows = [[float(x)] + _sweep_point(**{**fixed, varied: x}) for x in values]
     write_csv(rows, SWEEP_HEADER, args.output)
     valid = sum(1 for r in rows if r[4] != OUT_OF_REGIME)
     print(f"sweep {args.mode}: {len(rows)} points ({valid} in regime) -> {args.output}")
@@ -141,7 +160,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_work(args) -> int:
     _require(args, "e", "t-hot", "t-cold")
-    beta_h, beta_c = 1.0 / args.t_hot, 1.0 / args.t_cold
+    beta_h, beta_c = _betas(args.t_hot, args.t_cold)
     family = _family_from_args(args)
     eps = args.eps if args.eps is not None else family.eval(args.g)
     inst = quasi_static_instance(
@@ -174,7 +193,8 @@ def _cmd_feasible(args) -> int:
     p1 = np.asarray(_parse_floats(args.p1))[order]
     rho0 = DiagonalState(tuple(p0), spectrum)
     rho1 = DiagonalState(tuple(p1), spectrum)
-    report = second_laws.transition_feasible(rho0, rho1, 1.0 / args.t_hot)
+    (beta_h,) = _betas(args.t_hot)
+    report = second_laws.transition_feasible(rho0, rho1, beta_h)
     verdict = "feasible" if report.feasible else "infeasible"
     print(
         f"{verdict}: min free-energy gap {report.min_gap:.6g} at order "
@@ -191,9 +211,7 @@ def _cmd_feasible(args) -> int:
 
 def _cmd_classify(args) -> int:
     _require(args, "e", "t-hot", "t-cold")
-    beta_h, beta_c = 1.0 / args.t_hot, 1.0 / args.t_cold
-    if beta_c <= beta_h:
-        raise _CliError("need t_cold < t_hot")
+    beta_h, beta_c = _betas(args.t_hot, args.t_cold)
     cls = nano.classify_regime(args.e, beta_c, beta_h)
     carnot = nano.carnot_efficiency(beta_c, beta_h)
     print(
@@ -212,41 +230,17 @@ def _cmd_classify(args) -> int:
 
 def _cmd_multicycle(args) -> int:
     _require(args, "w", "e", "t-hot", "t-cold")
-    beta_h, beta_c = 1.0 / args.t_hot, 1.0 / args.t_cold
+    beta_h, beta_c = _betas(args.t_hot, args.t_cold)
     schedule = tuple(int(x) for x in _parse_floats(args.n_schedule))
     results = multicycle.convergence_schedule(
         args.w, args.e, beta_c, beta_h, args.kappa_bar, schedule
     )
-    rows = [
-        [
-            n,
-            ledger.g,
-            ledger.eps,
-            ledger.w_cyc,
-            ledger.r,
-            ledger.battery_entropy,
-            ledger.eta,
-            report.eta_gap,
-            report.work_gap,
-            report.battery_entropy,
-            report.top_weight_gap,
-        ]
-        for n, ledger, report in results
-    ]
-    header = (
-        "n_cycles",
-        "g",
-        "eps",
-        "w_cyc",
-        "r",
-        "battery_entropy",
-        "eta",
-        "delta_eta",
-        "delta_work",
-        "delta_entropy",
-        "delta_top_weight",
-    )
     if args.output:
+        rows = [
+            [n] + [getattr((ledger, report)[i], field) for _, i, field in _MULTICYCLE_COLUMNS]
+            for n, ledger, report in results
+        ]
+        header = ("n_cycles",) + tuple(column for column, _, _ in _MULTICYCLE_COLUMNS)
         write_csv(rows, header, args.output)
     last = results[-1][2]
     print(
@@ -257,65 +251,59 @@ def _cmd_multicycle(args) -> int:
     return 0
 
 
+#: Long option -> its argparse keywords; each subcommand lists the ones it takes.
+_OPTIONS = {
+    "mode": {"choices": tuple(_SWEEP_MODES)},
+    "t-hot": {"type": positive},
+    "t-cold": {"type": positive},
+    "e-min": {"type": positive},
+    "lo": {"type": float},
+    "hi": {"type": float},
+    "steps": {"type": int},
+    "g": {"type": float, "default": 1e-5},
+    "jobs": {"type": int, "default": 1, "help": "accepted; points run in order"},
+    "output": {},
+    "family": {"choices": ("power", "log_linear", "exponential"), "default": "power"},
+    "family-c": {"type": float, "default": 1.0},
+    "family-k": {"type": float, "default": 0.5},
+    "e": {"type": positive},
+    "n": {"type": int, "default": 1},
+    "eps": {"type": float},
+    "levels": {},
+    "p0": {},
+    "p1": {},
+    "w": {"type": float},
+    "kappa-bar": {"type": float, "default": 0.5},
+    "n-schedule": {"default": "100,1000,10000,100000"},
+}
+
+_FAMILY = ("family", "family-c", "family-k")
+
+#: Subcommand -> (handler, help, its long options in --help order).
+_COMMANDS = {
+    "sweep": (_cmd_sweep, "efficiency curves over energy or temperature",
+              ("mode", "t-hot", "t-cold", "e-min", "lo", "hi", "steps", "g", "jobs", "output",
+               *_FAMILY)),
+    "work": (_cmd_work, "maximum extractable work of one instance",
+             ("e", "t-hot", "t-cold", "g", "n", "eps", "output", *_FAMILY)),
+    "feasible": (_cmd_feasible, "transition feasibility under all orders",
+                 ("levels", "p0", "p1", "t-hot", "output")),
+    "classify": (_cmd_classify, "regime classification for a qubit gap",
+                 ("e", "t-hot", "t-cold", "output")),
+    "multicycle": (_cmd_multicycle, "multi-cycle convergence report",
+                   ("w", "e", "t-hot", "t-cold", "kappa-bar", "n-schedule", "output")),
+}
+
+
 def _build_parser() -> tuple[_ArgumentParser, dict]:
     parser = _ArgumentParser(prog="nanoheat", description=__doc__)
     parser.add_argument("--config", help="flat key=value file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_family(p):
-        p.add_argument("--family", choices=("power", "log_linear", "exponential"), default="power")
-        p.add_argument("--family-c", type=float, default=1.0)
-        p.add_argument("--family-k", type=float, default=0.5)
-
-    p = sub.add_parser("sweep", help="efficiency curves over energy or temperature")
-    p.add_argument("--mode", choices=("energy", "tcold", "thot"))
-    p.add_argument("--t-hot", type=float)
-    p.add_argument("--t-cold", type=float)
-    p.add_argument("--e-min", type=float)
-    p.add_argument("--lo", type=float)
-    p.add_argument("--hi", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--g", type=float, default=1e-5)
-    p.add_argument("--jobs", type=int, default=1, help="accepted; points run in order")
-    p.add_argument("--output")
-    add_family(p)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("work", help="maximum extractable work of one instance")
-    p.add_argument("--e", type=float)
-    p.add_argument("--t-hot", type=float)
-    p.add_argument("--t-cold", type=float)
-    p.add_argument("--g", type=float, default=1e-5)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--output")
-    add_family(p)
-    p.set_defaults(func=_cmd_work)
-
-    p = sub.add_parser("feasible", help="transition feasibility under all orders")
-    p.add_argument("--levels")
-    p.add_argument("--p0")
-    p.add_argument("--p1")
-    p.add_argument("--t-hot", type=float)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_feasible)
-
-    p = sub.add_parser("classify", help="regime classification for a qubit gap")
-    p.add_argument("--e", type=float)
-    p.add_argument("--t-hot", type=float)
-    p.add_argument("--t-cold", type=float)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("multicycle", help="multi-cycle convergence report")
-    p.add_argument("--w", type=float)
-    p.add_argument("--e", type=float)
-    p.add_argument("--t-hot", type=float)
-    p.add_argument("--t-cold", type=float)
-    p.add_argument("--kappa-bar", type=float, default=0.5)
-    p.add_argument("--n-schedule", default="100,1000,10000,100000")
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_multicycle)
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument("--" + flag, **_OPTIONS[flag])
+        p.set_defaults(func=func)
     return parser, sub.choices
 
 
@@ -342,16 +330,17 @@ def run_command(argv) -> int:
     parser, subparsers = _build_parser()
     try:
         # --config is taken out first, in either form and before or after the
-        # subcommand; each subcommand checks the keys it knows as --key=value
-        # flags (the = keeps values like -1,0), then takes them as defaults
+        # subcommand; each subcommand checks the keys its _COMMANDS entry lists
+        # as --key=value flags (the = keeps values like -1,0), then takes them
+        # as defaults
         pre = _ArgumentParser(add_help=False, allow_abbrev=False)
         pre.add_argument("--config")
         found, argv = pre.parse_known_args(argv)
         if found.config is not None:
             config = _load_config(found.config)
             known = set()
-            for sub in subparsers.values():
-                keys = [k for k in config if k in vars(sub.parse_args([]))]
+            for name, sub in subparsers.items():
+                keys = [k for k in config if k.replace("_", "-") in _COMMANDS[name][2]]
                 typed = sub.parse_args([f"--{k.replace('_', '-')}={config[k]}" for k in keys])
                 sub.set_defaults(**{k: getattr(typed, k) for k in keys})
                 known.update(keys)
@@ -360,10 +349,7 @@ def run_command(argv) -> int:
                 raise _CliError(f"unknown config keys: {sorted(unknown)}")
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (ParameterError, DomainError, CapacityError) as exc:
+    except (_CliError, ParameterError, DomainError, CapacityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except NanoheatError as exc:

@@ -167,7 +167,7 @@ def b_alpha(e_gap: float, beta_c: float, beta_h: float, alpha) -> np.ndarray | f
     a = np.atleast_1d(a)
     if np.any(a < 0):
         raise ParameterError("order must be nonnegative")
-    pre = e_gap * math.exp(-float(np.logaddexp(0.0, beta_c * e_gap)))
+    pre = gamma_infinity(e_gap, beta_c, beta_h)
     inf_mask = np.isinf(a)
     a_fin = np.where(inf_mask, 1.0, a)
     x1 = _x1(e_gap, beta_c, beta_h, a_fin)
@@ -504,10 +504,6 @@ class QuasiStaticConfig:
         """The family's decay exponent. Exponents above 1 are allowed so the failing
         families can be demonstrated; the engine prediction itself requires [0, 1]."""
         return self.family.kappa_bar
-
-    @property
-    def beta_f(self) -> float:
-        return self.beta_c - self.g
 
 
 @dataclass(frozen=True)

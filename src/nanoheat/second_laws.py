@@ -448,10 +448,8 @@ def max_extractable_work(inst: TransitionInstance, alpha_min: float = ALPHA_GRID
     if argmin.is_finite and alpha_star >= alphas[-3]:
         if abs(w_star - w_inf) <= TAIL_REL_TOL * scale:
             argmin = Alpha.INFINITY
-            w_ext = min(w_ext, w_inf)
     if abs(alpha_star - 1.0) <= ALPHA_SEAM and argmin.is_finite:
         argmin = Alpha.ONE
-        w_ext = min(w_ext, w_one)
     return WorkResult(float(w_ext), argmin, curve, float(width))
 
 

@@ -241,8 +241,8 @@ def _check_pair(p: DiagonalState, q: DiagonalState):
 
 class SupportLogs(NamedTuple):
     """A pair (p, q) restricted to the support of p, with the logs of both; every
-    divergence of the pair is read from it. Building it never raises: where q
-    underflows on the support, lq holds -inf."""
+    divergence of the pair is read from it. Building it never raises or warns:
+    where q underflows on the support, lq holds -inf."""
 
     p: np.ndarray
     q: np.ndarray
@@ -252,7 +252,8 @@ class SupportLogs(NamedTuple):
     @classmethod
     def of(cls, p: np.ndarray, q: np.ndarray) -> "SupportLogs":
         s = p > 0
-        return cls(p[s], q[s], np.log(p[s]), np.log(q[s]))
+        with np.errstate(divide="ignore"):
+            return cls(p[s], q[s], np.log(p[s]), np.log(q[s]))
 
     def d_zero(self) -> float:
         """-ln of the weight q puts on the support of p."""

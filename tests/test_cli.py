@@ -175,6 +175,25 @@ def test_feasible_command(capsys):
     assert "feasible" in capsys.readouterr().out
 
 
+def test_work_output_is_the_sampled_curve(tmp_path):
+    out = tmp_path / "curve.csv"
+    assert run_command(["work", "--e", "45", "--t-hot", "15", "--t-cold", "10",
+                        "--output", str(out)]) == 0
+    header, rows = rows_of(out)
+    assert header == ["alpha", "w_alpha"] and len(rows) == 400
+    assert all(len(r) == 2 and math.isfinite(float(r[1])) for r in rows)
+
+
+def test_feasible_output_lists_the_violating_orders(tmp_path, capsys):
+    out = tmp_path / "gaps.csv"
+    assert run_command(["feasible", "--levels", "0,1", "--p0", "0.6,0.4", "--p1", "0.7,0.3",
+                        "--t-hot", "2", "--output", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("infeasible:")
+    header, rows = rows_of(out)
+    assert header == ["alpha", "gap"] and len(rows) == 402
+    assert all(float(gap) < 0 for _, gap in rows)
+
+
 def test_multicycle_command(tmp_path):
     out = tmp_path / "mc.csv"
     rc = run_command([
@@ -213,6 +232,26 @@ def test_exit_code_on_config_errors(tmp_path):
     bad.write_text("bogus = 1\n", encoding="utf-8")
     assert run_command(["sweep", "--config", str(bad)]) == 1
     assert run_command(sweep_args(tmp_path / "x.csv", extra=("--lo", "70"))) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["work", "--e", "45", "--t-hot", "0", "--t-cold", "10"],
+        ["classify", "--e", "45", "--t-hot", "0", "--t-cold", "10"],
+        ["feasible", "--levels", "0,1", "--p0", "0.6,0.4", "--p1", "0.7,0.3", "--t-hot", "0"],
+        ["multicycle", "--w", "1", "--e", "15", "--t-hot", "0", "--t-cold", "10"],
+        ["work", "--e", "45", "--t-hot", "10", "--t-cold", "15"],
+        ["work", "--e", "-3", "--t-hot", "15", "--t-cold", "10"],
+        ["work", "--e", "0", "--t-hot", "15", "--t-cold", "10"],
+    ],
+    ids=["work-t-hot-0", "classify-t-hot-0", "feasible-t-hot-0", "multicycle-t-hot-0",
+         "work-swapped-temperatures", "work-negative-gap", "work-zero-gap"],
+)
+def test_nonphysical_temperatures_and_gaps_are_config_errors(argv, capsys):
+    assert run_command(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

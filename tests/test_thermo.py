@@ -20,7 +20,7 @@ from nanoheat import (
     state_moments,
     thermal_state,
 )
-from nanoheat.thermo import ALPHA_SEAM, logsumexp
+from nanoheat.thermo import ALPHA_SEAM, SupportLogs, logsumexp
 
 from conftest import make_rng
 
@@ -320,3 +320,11 @@ def test_logsumexp_handles_edge_cases():
     assert logsumexp(np.array([[0.0, 0.0], [1.0, 1.0]]), axis=1) == pytest.approx(
         [math.log(2), 1 + math.log(2)], abs=1e-12
     )
+
+
+@pytest.mark.filterwarnings("error")
+def test_support_logs_of_an_underflowed_reference_do_not_warn():
+    # q underflows to 0 where p has weight: lq holds -inf and no warning is raised
+    logs = SupportLogs.of(np.array([0.5, 0.5, 0.0]), np.array([1.0, 0.0, 0.0]))
+    assert logs.p.tolist() == [0.5, 0.5]
+    assert logs.lq.tolist() == [0.0, -math.inf]
