@@ -148,12 +148,17 @@ def solver_records(rec):
                                  0.5, 1.0, battery(0.9))
     instance_records(rec, "guard", inst)
 
-    for i in range(3):
-        gaps = tuple(np.random.default_rng(100 + i).uniform(2.0, 30.0, size=12))
-        inst = nh.quasi_static_instance(nh.QubitBath(gaps).spectrum(), 0.1, 1.0 / 15.0, 1e-5, 1e-10)
-        rec(f"12-qubit[{i}] solve", nh.max_extractable_work, inst)
-        rec(f"12-qubit[{i}] feasible", nh.transition_feasible,
-            inst.cold_initial, inst.cold_final, inst.beta_h)
+    # wide spectra: 400-order grids in whole row blocks (4096 levels) and ending
+    # in a partial one (1024 and 1000 levels)
+    wide = {f"12-qubit[{i}]": nh.QubitBath(tuple(
+        np.random.default_rng(100 + i).uniform(2.0, 30.0, size=12))).spectrum() for i in range(3)}
+    wide["10-qubit"] = nh.QubitBath(tuple(np.random.default_rng(103).uniform(2.0, 30.0, size=10))).spectrum()
+    wide["1000-level"] = nh.EnergySpectrum(tuple(np.random.default_rng(104).uniform(0.0, 120.0, size=1000)))
+    for key, spectrum in wide.items():
+        inst = nh.quasi_static_instance(spectrum, 0.1, 1.0 / 15.0, 1e-5, 1e-10)
+        rec(f"{key} solve", nh.max_extractable_work, inst)
+        rec(f"{key} feasible fwd", nh.transition_feasible, inst.cold_initial, inst.cold_final, inst.beta_h)
+        rec(f"{key} feasible bwd", nh.transition_feasible, inst.cold_final, inst.cold_initial, inst.beta_h)
 
 
 def nano_records(rec):
@@ -242,6 +247,20 @@ CLI_RUNS = {
                    "--kappa-bar", "0.5"],
     "missing": ["work", "--e", "45"],
     "bad-temperatures": ["classify", "--e", "45", "--t-hot", "10", "--t-cold", "15"],
+    "feasible-longer-p1": ["feasible", "--levels", "0,1", "--p0", "0.6,0.4", "--p1", "0.7,0.3,0.5",
+                           "--t-hot", "2"],
+    "feasible-shorter-p1": ["feasible", "--levels", "0,1", "--p0", "0.6,0.4", "--p1", "0.7",
+                            "--t-hot", "2"],
+    "work-g-out-of-regime": ["work", "--e", "45", "--t-hot", "15", "--t-cold", "10", "--g", "0.05"],
+    "work-g-nan": ["work", "--e", "45", "--t-hot", "15", "--t-cold", "10", "--g", "nan"],
+    "sweep-g-nan": ["sweep", "--mode", "energy", "--t-hot", "15", "--t-cold", "10",
+                    "--lo", "1", "--hi", "60", "--steps", "3", "--g", "nan"],
+    "sweep-g-large": ["sweep", "--mode", "energy", "--t-hot", "15", "--t-cold", "10",
+                      "--lo", "1", "--hi", "60", "--steps", "3", "--g", "0.05"],
+    "multicycle-fractional-n": ["multicycle", "--w", "1", "--e", "15", "--t-hot", "15",
+                                "--t-cold", "10", "--n-schedule", "100.7,1000.9"],
+    "multicycle-n-exponent": ["multicycle", "--w", "1", "--e", "15", "--t-hot", "15",
+                              "--t-cold", "10", "--n-schedule", "1e2,1e3"],
 }
 
 
@@ -251,7 +270,10 @@ def cli_records(rec):
             out = pathlib.Path(tmp) / f"{name}.csv"
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = cli.run_command(argv + ["--output", str(out)])
+                try:
+                    code = cli.run_command(argv + ["--output", str(out)])
+                except Exception as exc:  # an uncaught error is recorded, not fatal
+                    code = "!" + type(exc).__name__
             rec.write(f"cli {name} exit", code)
             rec.write(f"cli {name} stdout", repr(stdout.getvalue().replace(str(out), "OUT")))
             rec.write(f"cli {name} stderr", repr(stderr.getvalue()))

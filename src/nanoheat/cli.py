@@ -99,7 +99,7 @@ def _require(args, *names):
 
 
 def positive(text: str) -> float:
-    """argparse type of a temperature or a gap: a float above 0, not NaN (a
+    """argparse type of a temperature, a gap or a step g: a float above 0, not NaN (a
     non-number gets argparse's "invalid positive value" message)."""
     value = float(text)
     if not value > 0:
@@ -161,6 +161,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_work(args) -> int:
     _require(args, "e", "t-hot", "t-cold")
     beta_h, beta_c = _betas(args.t_hot, args.t_cold)
+    if not args.g < beta_c - beta_h:
+        raise _CliError(f"need g < beta_c - beta_h = {beta_c - beta_h:.6g}, got {args.g!r}")
     family = _family_from_args(args)
     eps = args.eps if args.eps is not None else family.eval(args.g)
     inst = quasi_static_instance(
@@ -189,10 +191,14 @@ def _cmd_feasible(args) -> int:
     levels = _parse_floats(args.levels)
     spectrum = EnergySpectrum(levels)
     order = np.argsort(np.asarray(levels), kind="stable")
-    p0 = np.asarray(_parse_floats(args.p0))[order]
-    p1 = np.asarray(_parse_floats(args.p1))[order]
-    rho0 = DiagonalState(tuple(p0), spectrum)
-    rho1 = DiagonalState(tuple(p1), spectrum)
+
+    def state(flag):
+        probs = _parse_floats(getattr(args, flag))
+        if len(probs) != len(levels):
+            raise _CliError(f"--{flag} has {len(probs)} entries, --levels has {len(levels)}")
+        return DiagonalState(np.asarray(probs)[order], spectrum)
+
+    rho0, rho1 = state("p0"), state("p1")
     (beta_h,) = _betas(args.t_hot)
     report = second_laws.transition_feasible(rho0, rho1, beta_h)
     verdict = "feasible" if report.feasible else "infeasible"
@@ -231,7 +237,10 @@ def _cmd_classify(args) -> int:
 def _cmd_multicycle(args) -> int:
     _require(args, "w", "e", "t-hot", "t-cold")
     beta_h, beta_c = _betas(args.t_hot, args.t_cold)
-    schedule = tuple(int(x) for x in _parse_floats(args.n_schedule))
+    counts = _parse_floats(args.n_schedule)
+    if not all(n.is_integer() for n in counts):
+        raise _CliError(f"--n-schedule needs whole cycle counts, got {args.n_schedule!r}")
+    schedule = tuple(int(n) for n in counts)
     results = multicycle.convergence_schedule(
         args.w, args.e, beta_c, beta_h, args.kappa_bar, schedule
     )
@@ -260,7 +269,7 @@ _OPTIONS = {
     "lo": {"type": float},
     "hi": {"type": float},
     "steps": {"type": int},
-    "g": {"type": float, "default": 1e-5},
+    "g": {"type": positive, "default": 1e-5},
     "jobs": {"type": int, "default": 1, "help": "accepted; points run in order"},
     "output": {},
     "family": {"choices": ("power", "log_linear", "exponential"), "default": "power"},

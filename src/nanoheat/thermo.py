@@ -32,6 +32,10 @@ MAX_COMPOSITE_LEVELS = 2 ** 22
 #: Tolerance on probability normalization everywhere.
 NORMALIZATION_TOL = 1e-12
 
+#: Most terms SupportLogs.log_power_sum evaluates at once for a column of
+#: orders (256 KiB of doubles per temporary).
+BLOCK_ELEMENTS = 2 ** 15
+
 
 def logsumexp(values, axis=None):
     """log(sum(exp(values))) with max-term subtraction; safe for -inf entries."""
@@ -133,7 +137,7 @@ class DiagonalState:
             raise ParameterError("probabilities must be finite and nonnegative")
         if abs(float(probs.sum()) - 1.0) > NORMALIZATION_TOL:
             raise ParameterError(f"probabilities sum to {probs.sum()!r}, not 1")
-        object.__setattr__(self, "probs", tuple(float(x) for x in probs))
+        object.__setattr__(self, "probs", tuple(probs.tolist()))
 
     @property
     def array(self) -> np.ndarray:
@@ -205,7 +209,7 @@ def thermal_state(spectrum: EnergySpectrum, beta: float) -> DiagonalState:
         raise ParameterError(f"beta must be positive, got {beta!r}")
     energies = spectrum.array
     w = np.exp(-float(beta) * (energies - energies.min()))
-    return DiagonalState(tuple(w / w.sum()), spectrum)
+    return DiagonalState(w / w.sum(), spectrum)
 
 
 def state_moments(state: DiagonalState) -> Tuple[float, float, float]:
@@ -270,8 +274,23 @@ class SupportLogs(NamedTuple):
         return float(np.max(self.lp - self.lq))
 
     def log_power_sum(self, a):
-        """ln sum exp(a*lp + (1-a)*lq) for one order, or per row for a column of orders."""
-        return logsumexp(a * self.lp + (1.0 - a) * self.lq, axis=None if np.ndim(a) == 0 else 1)
+        """ln sum exp(a*lp + (1-a)*lq) for one order, or per row for a column of orders.
+
+        A column is evaluated in row blocks of at most BLOCK_ELEMENTS terms, so
+        the temporaries stay cache-sized; each row is reduced on its own, so
+        the values are those of the one-pass expression, bit for bit.
+        """
+        if np.ndim(a) == 0:
+            return logsumexp(self._exponents(a))
+        rows = max(1, BLOCK_ELEMENTS // self.lp.size)
+        if len(a) <= rows:
+            return logsumexp(self._exponents(a), axis=1)
+        return np.concatenate([
+            logsumexp(self._exponents(a[i:i + rows]), axis=1) for i in range(0, len(a), rows)
+        ])
+
+    def _exponents(self, a):
+        return a * self.lp + (1.0 - a) * self.lq
 
 
 def kl_divergence_and_variance(p: DiagonalState, q: DiagonalState) -> Tuple[float, float]:

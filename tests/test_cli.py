@@ -255,6 +255,29 @@ def test_nonphysical_temperatures_and_gaps_are_config_errors(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["feasible", "--levels", "0,1", "--p0", "0.6,0.4", "--p1", "0.7,0.3,0.5", "--t-hot", "2"],
+        ["feasible", "--levels", "0,1", "--p0", "0.6,0.4", "--p1", "0.7", "--t-hot", "2"],
+        ["work", "--e", "45", "--t-hot", "15", "--t-cold", "10", "--g", "0.05"],
+        ["work", "--e", "45", "--t-hot", "15", "--t-cold", "10", "--g", "nan"],
+        ["sweep", "--mode", "energy", "--t-hot", "15", "--t-cold", "10", "--lo", "1",
+         "--hi", "60", "--steps", "3", "--g", "nan", "--output", "unused.csv"],
+        ["multicycle", "--w", "1", "--e", "15", "--t-hot", "15", "--t-cold", "10",
+         "--n-schedule", "100.7,1000.9"],
+    ],
+    ids=["feasible-longer-p1", "feasible-shorter-p1", "work-g-out-of-regime", "work-g-nan",
+         "sweep-g-nan", "multicycle-fractional-n"],
+)
+def test_malformed_lists_steps_and_cycle_counts_are_config_errors(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_command(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "unused.csv").exists()
+
+
+@pytest.mark.parametrize(
     "lines",
     [
         "mode = thot\ne-min = 15\nsteps = abc\n",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from nanoheat import (
     state_moments,
     thermal_state,
 )
-from nanoheat.thermo import ALPHA_SEAM, SupportLogs, logsumexp
+from nanoheat.second_laws import ALPHA_GRID_MAX, ALPHA_GRID_MIN, ALPHA_GRID_POINTS
+from nanoheat.thermo import ALPHA_SEAM, BLOCK_ELEMENTS, SupportLogs, logsumexp
 
 from conftest import make_rng
 
@@ -328,3 +330,52 @@ def test_support_logs_of_an_underflowed_reference_do_not_warn():
     logs = SupportLogs.of(np.array([0.5, 0.5, 0.0]), np.array([1.0, 0.0, 0.0]))
     assert logs.p.tolist() == [0.5, 0.5]
     assert logs.lq.tolist() == [0.0, -math.inf]
+
+
+# --- blocked column power sums -------------------------------------------------
+
+GRID = np.geomspace(ALPHA_GRID_MIN, ALPHA_GRID_MAX, ALPHA_GRID_POINTS)[:, None]
+
+
+def _qubit_logs():
+    return SupportLogs.of(np.array([0.7, 0.3]), np.array([0.6, 0.4]))
+
+
+def _twelve_qubit_logs():
+    spectrum = QubitBath(tuple(make_rng(11).uniform(1.0, 60.0, 12))).spectrum()
+    return SupportLogs.of(thermal_state(spectrum, 0.1).array, thermal_state(spectrum, 0.05).array)
+
+
+def _wide_random_logs():
+    # 1000 levels up to 2000: the reference underflows on part of the support
+    rng = make_rng(12)
+    spectrum = EnergySpectrum(tuple(rng.uniform(0.0, 2000.0, 1000)))
+    logs = SupportLogs.of(random_state(rng, spectrum).array, thermal_state(spectrum, 1.0).array)
+    assert np.isneginf(logs.lq).any()
+    return logs
+
+
+@pytest.mark.parametrize(
+    "make_logs, blocks",
+    [(_qubit_logs, 1), (_twelve_qubit_logs, 50), (_wide_random_logs, 13)],
+    ids=["qubit-one-block", "4096-levels-full-blocks", "1000-levels-partial-block"],
+)
+def test_blocked_power_sum_equals_the_one_pass_expression(make_logs, blocks):
+    logs = make_logs()
+    rows = BLOCK_ELEMENTS // logs.lp.size
+    assert math.ceil(len(GRID) / rows) == blocks
+    # where lq is -inf, orders above 1 sum to +inf, and exp overflows on the way
+    with np.errstate(over="ignore"):
+        one_pass = logsumexp(GRID * logs.lp + (1.0 - GRID) * logs.lq, axis=1)
+        np.testing.assert_array_equal(logs.log_power_sum(GRID), one_pass)
+
+
+def test_blocked_power_sum_keeps_a_wide_grid_call_small():
+    logs = _twelve_qubit_logs()
+    tracemalloc.start()
+    try:
+        logs.log_power_sum(GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6  # the one-pass grid needs about 37 MB
