@@ -20,21 +20,21 @@ from .errors import (
     ParameterError,
 )
 from .thermo import (
+    ALPHA_GRID,
+    ALPHA_GRID_MAX,
+    ALPHA_GRID_MIN,
+    ALPHA_GRID_POINTS,
     ALPHA_SEAM,
     Alpha,
     DiagonalState,
     EnergySpectrum,
+    GibbsLogs,
     SupportLogs,
     _check_pair,
     binary_entropy,
     logsumexp,
     thermal_state,
 )
-
-#: Default sampling grid for the order variable: 400 log-spaced points.
-ALPHA_GRID_MIN = 1e-6
-ALPHA_GRID_MAX = 1e6
-ALPHA_GRID_POINTS = 400
 
 #: Width (in ln alpha) down to which the grid minimum is refined.
 REFINE_WIDTH = 1e-8
@@ -99,8 +99,11 @@ class TransitionInstance:
     the composite never has to be materialized.
 
     The hot Gibbs state q and the support-log records of (p||q) and (p'||q) are
-    built once, on first use, and every work formula reads them. The records
-    never raise; the order-1 terms raise DomainError if q underflows anywhere.
+    read from the cold states' memos at beta_h (``DiagonalState.gibbs_logs``),
+    which share one q, and every work formula reads them. So do the grid power
+    sums of a solve on ALPHA_GRID, and any feasibility check of the same states
+    at beta_h finds them there too. The records never raise; the order-1 terms
+    raise DomainError if q underflows anywhere.
     """
 
     cold_initial: DiagonalState
@@ -126,13 +129,17 @@ class TransitionInstance:
         return self.cold_initial.spectrum
 
     @cached_property
-    def _tau_h(self) -> DiagonalState:
-        return thermal_state(self.spectrum, self.beta_h)
+    def _gibbs_logs(self) -> Tuple[GibbsLogs, GibbsLogs]:
+        return _gibbs_pair(self.cold_initial, self.cold_final, self.beta_h)
 
-    @cached_property
+    @property
+    def _tau_h(self) -> DiagonalState:
+        return self._gibbs_logs[0].tau
+
+    @property
     def _support_logs(self) -> Tuple[SupportLogs, SupportLogs]:
-        q = self._tau_h.array
-        return SupportLogs.of(self.cold_initial.array, q), SupportLogs.of(self.cold_final.array, q)
+        initial, final = self._gibbs_logs
+        return initial.logs, final.logs
 
     @property
     def _dinf_drop(self) -> float:
@@ -184,6 +191,12 @@ class PerfectWorkCertificate:
     reason: str
 
 
+def _gibbs_pair(rho0: DiagonalState, rho1: DiagonalState, beta_h: float) -> Tuple[GibbsLogs, GibbsLogs]:
+    """The memos of two states on one spectrum at beta_h; at most one Gibbs state is built."""
+    first = rho0.gibbs_logs(beta_h)
+    return first, rho1.gibbs_logs(beta_h, first.tau)
+
+
 # ---------------------------------------------------------------------------
 # W_alpha
 # ---------------------------------------------------------------------------
@@ -193,6 +206,12 @@ def _log_a(inst: TransitionInstance, alphas: np.ndarray) -> np.ndarray:
     initial, final = inst._support_logs
     a = np.atleast_1d(np.asarray(alphas, dtype=float))[:, None]
     return inst.copies * (initial.log_power_sum(a) - final.log_power_sum(a))
+
+
+def _grid_log_a(inst: TransitionInstance) -> np.ndarray:
+    """``_log_a`` on ALPHA_GRID, from the power sums the cold states memoize."""
+    initial, final = inst._gibbs_logs
+    return inst.copies * (initial.grid_sums - final.grid_sums)
 
 
 def _w_one(inst: TransitionInstance) -> float:
@@ -227,7 +246,9 @@ def _w_infinity(inst: TransitionInstance) -> float:
 def work_curve_values(inst: TransitionInstance, alphas) -> np.ndarray:
     """Vectorized W_alpha over an array of finite positive orders.
 
-    Entries where the order imposes no finite bound come back as +inf.
+    Entries where the order imposes no finite bound come back as +inf. When
+    ``alphas`` is ALPHA_GRID itself, ln A comes from the cold states' memoized
+    grid power sums.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     if np.any(alphas <= 0) or np.any(~np.isfinite(alphas)):
@@ -242,7 +263,7 @@ def work_curve_values(inst: TransitionInstance, alphas) -> np.ndarray:
     rest = ~seam
     if np.any(rest):
         a = alphas[rest]
-        ln_a = _log_a(inst, a)
+        ln_a = _grid_log_a(inst) if alphas is ALPHA_GRID else _log_a(inst, a)
         ln_eps = math.log(eps) if eps > 0.0 else -math.inf
         # ln(eps^a / A); clipping ln A keeps it -inf, not nan, at eps = A = 0, so
         # the bound there is ln A / (beta_h (a - 1)) = -inf, as for any A at eps = 0
@@ -388,7 +409,9 @@ def max_extractable_work(inst: TransitionInstance, alpha_min: float = ALPHA_GRID
     several steps; how many follows from the spectrum size. W_ext is at most
     every sampled value. ``alpha_min`` is an optional lower cutoff of the orders;
     no caller in the package sets it (tests and library callers do), and the
-    default covers the whole positive axis.
+    default covers the whole positive axis. With the default, the grid is
+    ALPHA_GRID and its power sums are the cold states' memos (see
+    ``TransitionInstance``), shared with feasibility checks of those states.
 
     The reported argmin is INFINITY whenever the analytic infinite-order value
     is the smallest candidate, or when the refined minimum sits on the grid
@@ -400,7 +423,10 @@ def max_extractable_work(inst: TransitionInstance, alpha_min: float = ALPHA_GRID
         )
     if not (0 < alpha_min < ALPHA_GRID_MAX):
         raise ParameterError("alpha_min out of range")
-    alphas = np.geomspace(alpha_min, ALPHA_GRID_MAX, ALPHA_GRID_POINTS)
+    alphas = (
+        ALPHA_GRID if alpha_min == ALPHA_GRID_MIN
+        else np.geomspace(alpha_min, ALPHA_GRID_MAX, ALPHA_GRID_POINTS)
+    )
     values = work_curve_values(inst, alphas)
     w_one = _w_one(inst)
     w_inf = _w_infinity(inst)
@@ -460,22 +486,25 @@ def max_extractable_work(inst: TransitionInstance, alpha_min: float = ALPHA_GRID
 def transition_feasible(rho0: DiagonalState, rho1: DiagonalState, beta_h: float) -> FeasibilityReport:
     """Check F_alpha(rho0) >= F_alpha(rho1) for every sampled order.
 
-    The orders are the standard log grid plus the tagged {0, 1, inf} points;
-    the report lists every violating order and the worst (most negative) gap.
-    The -ln Z / beta term is common to both sides and drops out.
+    The orders are ALPHA_GRID plus the tagged {0, 1, inf} points; the report
+    lists every violating order and the worst (most negative) gap. The
+    -ln Z / beta term is common to both sides and drops out. The hot Gibbs
+    state, the support logs and the grid power sums of each state are its
+    memos at beta_h (``DiagonalState.gibbs_logs``): a solve or an earlier
+    check of the same state objects at the same beta_h has built them, and
+    only the tagged terms and the gaps are computed again.
     """
     if rho0.spectrum != rho1.spectrum:
         raise ParameterError("states live on different spectra")
     if beta_h <= 0:
         raise ParameterError("beta_h must be positive")
-    tau = thermal_state(rho0.spectrum, beta_h)
-    _check_pair(rho0, tau)
-    r0, r1 = (SupportLogs.of(rho.array, tau.array) for rho in (rho0, rho1))
+    h0, h1 = _gibbs_pair(rho0, rho1, beta_h)
+    _check_pair(rho0, h0.tau)
+    r0, r1 = h0.logs, h1.logs
 
     # no grid order lies within ALPHA_SEAM of 1, so the generic formula holds
-    alphas = np.geomspace(ALPHA_GRID_MIN, ALPHA_GRID_MAX, ALPHA_GRID_POINTS)
-    col = alphas[:, None]
-    gaps = (r0.log_power_sum(col) / (alphas - 1.0) - r1.log_power_sum(col) / (alphas - 1.0)) / beta_h
+    alphas = ALPHA_GRID
+    gaps = (h0.grid_sums / (alphas - 1.0) - h1.grid_sums / (alphas - 1.0)) / beta_h
     tagged = (
         (0.0, r0.d_zero() - r1.d_zero()),
         (1.0, r0.d_one_and_variance()[0] - r1.d_one_and_variance()[0]),

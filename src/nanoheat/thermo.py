@@ -9,12 +9,16 @@ Conventions used throughout the package:
   max-term subtraction, so Renyi orders from 1e-6 up to 1e6 stay in range.
 
 All values are immutable after construction and all operations are pure
-functions, safe to share across concurrent workers.
+functions, safe to share across concurrent workers. A DiagonalState memoizes
+its logs against the Gibbs state of each inverse temperature it is compared
+with (``DiagonalState.gibbs_logs``); a memo write is idempotent, so two
+workers that race on it only compute equal values twice.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -36,6 +40,14 @@ NORMALIZATION_TOL = 1e-12
 #: orders (256 KiB of doubles per temporary).
 BLOCK_ELEMENTS = 2 ** 15
 
+#: The standard sampling grid of Renyi orders: 400 log-spaced points, none
+#: within ALPHA_SEAM of 1. The solver and feasibility checks read it.
+ALPHA_GRID_MIN = 1e-6
+ALPHA_GRID_MAX = 1e6
+ALPHA_GRID_POINTS = 400
+ALPHA_GRID = np.geomspace(ALPHA_GRID_MIN, ALPHA_GRID_MAX, ALPHA_GRID_POINTS)
+ALPHA_GRID.flags.writeable = False
+
 
 def logsumexp(values, axis=None):
     """log(sum(exp(values))) with max-term subtraction; safe for -inf entries."""
@@ -48,9 +60,15 @@ def logsumexp(values, axis=None):
             return m
         return m + math.log(float(np.sum(np.exp(arr - m))))
     m = np.max(arr, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    out = np.log(np.sum(np.exp(arr - m), axis=axis)) + np.squeeze(m, axis=axis)
-    return out
+    finite = np.isfinite(m)
+    # a slice whose max is +-inf or nan comes out as that max; its terms are
+    # not shifted (exp would overflow on them), only zeroed
+    if finite.all():
+        x = arr - m
+    else:
+        x = np.subtract(arr, m, out=np.zeros(arr.shape), where=finite)
+    np.exp(x, out=x)
+    return np.log(np.sum(x, axis=axis)) + np.squeeze(m, axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +101,10 @@ class EnergySpectrum:
     def size(self) -> int:
         return len(self.levels)
 
-    @property
+    @cached_property
     def array(self) -> np.ndarray:
-        return np.asarray(self.levels, dtype=float)
+        """The levels as a read-only array, built once."""
+        return _read_only(np.array(self.levels, dtype=float))
 
     def log_partition(self, beta: float) -> float:
         """ln Z(beta) = ln sum_i exp(-beta * E_i)."""
@@ -119,18 +138,30 @@ class QubitBath:
         levels = np.zeros(1)
         for gap in self.gaps:
             levels = np.add.outer(levels, np.array([0.0, gap])).ravel()
-        return EnergySpectrum(tuple(levels))
+        return EnergySpectrum(tuple(levels.tolist()))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
 class DiagonalState:
-    """Probability vector aligned with an EnergySpectrum."""
+    """Probability vector aligned with an EnergySpectrum.
+
+    ``array`` is the vector as a read-only ndarray, built once. ``gibbs_logs``
+    memoizes, per inverse temperature, the Gibbs state of the spectrum, the
+    SupportLogs of (this state || that Gibbs state) and their power sums on
+    ALPHA_GRID. The memos live in the instance's ``__dict__``, next to the
+    fields, so equality, hashing and repr see only ``probs`` and ``spectrum``.
+    """
 
     probs: Tuple[float, ...]
     spectrum: EnergySpectrum
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
+        probs = np.array(self.probs, dtype=float)  # a copy the state owns
         if probs.ndim != 1 or probs.size != self.spectrum.size:
             raise ParameterError("probs must be a vector with one entry per level")
         if np.any(probs < 0) or not np.all(np.isfinite(probs)):
@@ -138,14 +169,35 @@ class DiagonalState:
         if abs(float(probs.sum()) - 1.0) > NORMALIZATION_TOL:
             raise ParameterError(f"probabilities sum to {probs.sum()!r}, not 1")
         object.__setattr__(self, "probs", tuple(probs.tolist()))
+        self.__dict__["array"] = _read_only(probs)  # fills the cached_property below
 
-    @property
+    @cached_property
     def array(self) -> np.ndarray:
-        return np.asarray(self.probs, dtype=float)
+        """The probabilities as a read-only array, built once."""
+        return _read_only(np.array(self.probs, dtype=float))
 
     @property
     def full_rank(self) -> bool:
         return min(self.probs) > 0.0
+
+    @cached_property
+    def _gibbs_memos(self) -> dict:
+        return {}
+
+    def gibbs_logs(self, beta: float, gibbs: "DiagonalState | None" = None) -> "GibbsLogs":
+        """This state against the Gibbs state of its spectrum at ``beta``, built
+        on the first call for that beta and read back after it.
+
+        ``gibbs`` is that Gibbs state when the caller already holds it (it is
+        then shared, not rebuilt); it is ignored once the memo exists.
+        """
+        memo = self._gibbs_memos.get(beta)
+        if memo is None:
+            if gibbs is None or gibbs is self:  # a memo never holds its own state
+                gibbs = thermal_state(self.spectrum, beta)
+            memo = GibbsLogs(gibbs, SupportLogs.of(self.array, gibbs.array))
+            self._gibbs_memos[beta] = memo
+        return memo
 
 
 @dataclass(frozen=True)
@@ -278,19 +330,42 @@ class SupportLogs(NamedTuple):
 
         A column is evaluated in row blocks of at most BLOCK_ELEMENTS terms, so
         the temporaries stay cache-sized; each row is reduced on its own, so
-        the values are those of the one-pass expression, bit for bit.
+        the values are those of the one-pass expression, bit for bit. Every
+        block's exponents go into one buffer per call, so at most two
+        block-sized temporaries are alive at once: freeing more of them block
+        after block can make the allocator return the memory to the OS and
+        fault it back in, which on 4096 levels cost more than the arithmetic.
         """
         if np.ndim(a) == 0:
             return logsumexp(self._exponents(a))
         rows = max(1, BLOCK_ELEMENTS // self.lp.size)
         if len(a) <= rows:
             return logsumexp(self._exponents(a), axis=1)
+        block = np.empty((rows, self.lp.size))
         return np.concatenate([
-            logsumexp(self._exponents(a[i:i + rows]), axis=1) for i in range(0, len(a), rows)
+            logsumexp(self._exponents(a[i:i + rows], block[:len(a) - i]), axis=1)
+            for i in range(0, len(a), rows)
         ])
 
-    def _exponents(self, a):
-        return a * self.lp + (1.0 - a) * self.lq
+    def _exponents(self, a, out=None):
+        x = np.multiply(a, self.lp, out=out)
+        x += (1.0 - a) * self.lq
+        return x
+
+
+class GibbsLogs:
+    """A state's memo for one inverse temperature (``DiagonalState.gibbs_logs``):
+    the Gibbs state ``tau``, the SupportLogs of (state || tau), and, built on
+    first use, their log power sums on ALPHA_GRID."""
+
+    def __init__(self, tau: DiagonalState, logs: SupportLogs):
+        self.tau = tau
+        self.logs = logs
+
+    @cached_property
+    def grid_sums(self) -> np.ndarray:
+        """ln sum p^a tau^(1-a) for every order a of ALPHA_GRID."""
+        return _read_only(self.logs.log_power_sum(ALPHA_GRID[:, None]))
 
 
 def kl_divergence_and_variance(p: DiagonalState, q: DiagonalState) -> Tuple[float, float]:

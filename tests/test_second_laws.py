@@ -23,6 +23,7 @@ from nanoheat import (
 )
 from nanoheat import second_laws
 from nanoheat.second_laws import _w_one, work_curve_values
+from nanoheat.thermo import SupportLogs
 
 from conftest import make_rng
 
@@ -492,6 +493,62 @@ def test_order_infinity_guard_when_failure_branch_dominates():
     inst = TransitionInstance(p, pp, 0.1, 1.0, battery(0.6), copies=4)
     with pytest.raises(ConstraintViolationError):
         w_alpha(inst, Alpha.INFINITY)
+
+
+# --- grid power sums memoized on the states ----------------------------------
+
+def _twelve_qubit_instance(spectrum=None):
+    if spectrum is None:
+        spectrum = QubitBath(tuple(make_rng(21).uniform(1.0, 60.0, 12))).spectrum()
+    return quasi_static_instance(spectrum, 0.1, 1 / 15, 1e-5, 1e-10)
+
+
+def _solve_and_check_both_ways(inst, beta_h=None):
+    beta_h = inst.beta_h if beta_h is None else beta_h
+    return (
+        max_extractable_work(inst),
+        transition_feasible(inst.cold_initial, inst.cold_final, beta_h),
+        transition_feasible(inst.cold_final, inst.cold_initial, beta_h),
+    )
+
+
+def test_solve_and_both_checks_compute_each_grid_column_once(monkeypatch):
+    columns = []
+    power_sum = SupportLogs.log_power_sum
+
+    def counted(logs, a):
+        if np.ndim(a) > 0 and len(a) >= second_laws.ALPHA_GRID_POINTS:
+            columns.append(len(a))
+        return power_sum(logs, a)
+
+    monkeypatch.setattr(SupportLogs, "log_power_sum", counted)
+    inst = _twelve_qubit_instance()
+    _solve_and_check_both_ways(inst)
+    assert columns == [400, 400]  # one per cold state, not one per call
+    _solve_and_check_both_ways(inst, beta_h=1 / 20)
+    assert len(columns) == 4  # a second hot temperature is a second memo
+
+
+def _identical(a, b):
+    # equal, and equal in every printed digit (repr tells -0.0 from 0.0)
+    return a == b and repr(a) == repr(b)
+
+
+def test_memoized_results_equal_those_of_fresh_equal_states():
+    inst = _twelve_qubit_instance()
+    memoized = _solve_and_check_both_ways(inst)
+    second_beta = transition_feasible(inst.cold_initial, inst.cold_final, 1 / 20)
+    cut = max_extractable_work(inst, alpha_min=0.5)
+
+    def fresh():
+        return _twelve_qubit_instance(EnergySpectrum(inst.spectrum.levels))
+
+    assert fresh().cold_final == inst.cold_final
+    assert all(_identical(m, f) for m, f in zip(memoized, _solve_and_check_both_ways(fresh())))
+    rebuilt = fresh()
+    assert _identical(second_beta, transition_feasible(rebuilt.cold_initial, rebuilt.cold_final, 1 / 20))
+    assert _identical(cut, max_extractable_work(fresh(), alpha_min=0.5))
+    assert memoized[1].feasible and not memoized[2].feasible
 
 
 def test_hot_gibbs_underflow_splits_the_orders():

@@ -290,6 +290,45 @@ def test_constructors_preserve_normalization(beta1, beta2):
     assert abs(sum(joint.probs) - 1.0) < 1e-12
 
 
+# --- read-only arrays and per-beta memos --------------------------------------
+
+def test_arrays_are_read_only():
+    spectrum = EnergySpectrum((0.0, 1.0, 2.5))
+    probs = np.array([0.2, 0.3, 0.5])
+    state = DiagonalState(probs, spectrum)
+    for arr in (spectrum.array, state.array):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert state.array is state.array and spectrum.array is spectrum.array
+    probs[0] = 0.9  # the state owns a copy
+    assert state.array.tolist() == [0.2, 0.3, 0.5] and probs.flags.writeable
+
+
+def test_memos_leave_equality_hash_and_repr_alone():
+    levels = (0.0, 0.7, 1.9)
+    spectrum = EnergySpectrum(levels)
+    state = thermal_state(spectrum, 0.4)
+    texts = repr(spectrum), repr(state)
+    spectrum.array, state.array
+    memo = state.gibbs_logs(0.25)
+    memo.grid_sums
+    assert state.gibbs_logs(0.25) is memo and state.gibbs_logs(0.5).tau != memo.tau
+    fresh_spectrum = EnergySpectrum(levels)
+    fresh = thermal_state(fresh_spectrum, 0.4)
+    assert spectrum == fresh_spectrum and hash(spectrum) == hash(fresh_spectrum)
+    assert state == fresh and hash(state) == hash(fresh)
+    assert (repr(spectrum), repr(state)) == texts == (repr(fresh_spectrum), repr(fresh))
+    assert {state: 1}[fresh] == 1
+
+
+def test_gibbs_memo_never_holds_its_own_state():
+    tau = thermal_state(QUBIT, 0.5)
+    memo = tau.gibbs_logs(0.5, tau)
+    assert memo.tau is not tau and memo.tau == tau
+    other = DiagonalState((0.9, 0.1), QUBIT)
+    assert other.gibbs_logs(0.5, tau).tau is tau  # a Gibbs state handed in is shared
+
+
 # --- Alpha tags --------------------------------------------------------------
 
 def test_alpha_coercion():
@@ -330,6 +369,16 @@ def test_support_logs_of_an_underflowed_reference_do_not_warn():
     logs = SupportLogs.of(np.array([0.5, 0.5, 0.0]), np.array([1.0, 0.0, 0.0]))
     assert logs.p.tolist() == [0.5, 0.5]
     assert logs.lq.tolist() == [0.0, -math.inf]
+
+
+@pytest.mark.filterwarnings("error")
+def test_logsumexp_rows_with_infinite_max_do_not_warn():
+    # a +inf term next to large finite ones: the row is +inf, and exp is never
+    # asked for e^1000; an all -inf row is -inf without a log(0)
+    values = np.array([[math.inf, 1000.0, 900.0], [-math.inf, -math.inf, -math.inf], [1000.0, 999.0, 0.0]])
+    out = logsumexp(values, axis=1)
+    assert out[0] == math.inf and out[1] == -math.inf
+    assert out[2] == pytest.approx(1000.0 + math.log(1.0 + math.exp(-1.0)), rel=1e-15)
 
 
 # --- blocked column power sums -------------------------------------------------
