@@ -158,11 +158,20 @@ def solver_records(rec):
         inst = nh.quasi_static_instance(spectrum, 0.1, 1.0 / 15.0, 1e-5, 1e-10)
         wide_records(rec, key, inst)
         if "qubit" in key:
-            # the same state objects at a second hot temperature, then equal
-            # states built anew: results that states memoize must not depend on
-            # whether they were computed before
-            rec(f"{key} feasible fwd beta_h=1/20", nh.transition_feasible,
-                inst.cold_initial, inst.cold_final, 1.0 / 20.0)
+            # the same state objects at other hot temperatures and back, a new
+            # instance of those states, then equal states built anew: results
+            # that states memoize must not depend on whether they were
+            # computed before, or at which temperature
+            for name, beta_h in (("1/20", 1.0 / 20.0), ("1/25", 1.0 / 25.0)):
+                rec(f"{key} feasible fwd beta_h={name}", nh.transition_feasible,
+                    inst.cold_initial, inst.cold_final, beta_h)
+            rec(f"{key} feasible fwd back", nh.transition_feasible,
+                inst.cold_initial, inst.cold_final, inst.beta_h)
+            rec(f"{key} feasible bwd back", nh.transition_feasible,
+                inst.cold_final, inst.cold_initial, inst.beta_h)
+            again = nh.TransitionInstance(inst.cold_initial, inst.cold_final, inst.beta_h,
+                                          inst.beta_c, inst.battery, inst.copies)
+            rec(f"{key} same states solve", nh.max_extractable_work, again)
             rebuilt = nh.quasi_static_instance(nh.EnergySpectrum(spectrum.levels), 0.1, 1.0 / 15.0, 1e-5, 1e-10)
             wide_records(rec, f"{key} rebuilt", rebuilt)
 
@@ -203,6 +212,7 @@ def nano_records(rec):
                    nh.EpsilonFamily.power(1.0, 2.0)):
         rec(f"{family!r} kappa_bar", nh.estimate_kappa_bar, family)
         rec(f"{family!r} eval", nh.epsilon_family_eval, family, 1e-5)
+        rec(f"{family!r} eval(nan)", family.eval, math.nan)
         for e, n in ((45.0, 1), (15.0, 1), (45.0, 3), (30.0, 2)):
             cfg_key = f"engine({family!r}, {e!r}, n={n})"
             cfg = rec.build(cfg_key, lambda: nh.QuasiStaticConfig(
@@ -212,6 +222,9 @@ def nano_records(rec):
             rec(f"{cfg_key} kappa_bar", getattr, cfg, "kappa_bar")
             rec(cfg_key, nh.quasistatic_engine, cfg)
             rec(f"{cfg_key} band", nh.nano.prediction_band, cfg)
+    rec("EpsilonFamily.power(nan)", nh.EpsilonFamily.power, math.nan)
+    rec("EpsilonFamily.power(1.0, nan)", nh.EpsilonFamily.power, 1.0, math.nan)
+    rec("plan_cycles(w_target=nan)", nh.plan_cycles, math.nan, 15.0, 0.1, 1.0 / 15.0, 0.5, 1000)
 
 
 def macro_extension_records(rec):
@@ -273,6 +286,14 @@ CLI_RUNS = {
                                 "--t-cold", "10", "--n-schedule", "100.7,1000.9"],
     "multicycle-n-exponent": ["multicycle", "--w", "1", "--e", "15", "--t-hot", "15",
                               "--t-cold", "10", "--n-schedule", "1e2,1e3"],
+    "multicycle-w-nan": ["multicycle", "--w", "nan", "--e", "15", "--t-hot", "15", "--t-cold", "10"],
+    "work-family-c-nan": ["work", "--e", "45", "--t-hot", "15", "--t-cold", "10", "--family-c", "nan"],
+    "sweep-tcold-lo-nan": ["sweep", "--mode", "tcold", "--t-hot", "20", "--e-min", "15",
+                           "--lo", "nan", "--hi", "19.5", "--steps", "3"],
+    "sweep-energy-lo-nan": ["sweep", "--mode", "energy", "--t-hot", "15", "--t-cold", "10",
+                            "--lo", "nan", "--hi", "60", "--steps", "3"],
+    "sweep-thot-hi-inf": ["sweep", "--mode", "thot", "--t-cold", "5", "--e-min", "15",
+                          "--lo", "5.5", "--hi", "inf", "--steps", "3"],
 }
 
 

@@ -144,8 +144,8 @@ def _cmd_sweep(args) -> int:
     _require(args, "mode", "lo", "hi", "steps", "output")
     varied, held = _SWEEP_MODES[args.mode]
     _require(args, *held)
-    if args.lo >= args.hi:
-        raise _CliError("--lo must be below --hi")
+    if not -np.inf < args.lo < args.hi < np.inf:
+        raise _CliError("--lo must be below --hi, and both finite")
     if args.steps < 2:
         raise _CliError("--steps must be at least 2")
     fixed = {"e_gap": args.e_min, "t_hot": args.t_hot, "t_cold": args.t_cold,

@@ -62,7 +62,7 @@ def plan_cycles(
     from the power family at the chosen decay exponent. Only the
     Carnot-attainable regime (Omega <= 1) is supported.
     """
-    if w_target <= 0:
+    if not w_target > 0:
         raise ParameterError("target work must be positive")
     if not (isinstance(n_cycles, int) and n_cycles >= 1):
         raise ParameterError("n_cycles must be a positive integer")

@@ -62,7 +62,7 @@ class EpsilonFamily:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ParameterError(f"unknown family kind {self.kind!r}")
-        if self.c <= 0 or self.k <= 0:
+        if not (self.c > 0 and self.k > 0):
             raise ParameterError("family parameters must be positive")
 
     @classmethod
@@ -87,7 +87,7 @@ class EpsilonFamily:
 
     def log_eval(self, g: float) -> float:
         """ln eps(g), analytic; avoids underflow for very small g."""
-        if g <= 0:
+        if not g > 0:
             raise ParameterError("g must be positive")
         if self.kind == "exponential":
             return -1.0 / g

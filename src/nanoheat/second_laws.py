@@ -29,11 +29,10 @@ from .thermo import (
     DiagonalState,
     EnergySpectrum,
     GibbsLogs,
-    SupportLogs,
     _check_pair,
+    _gibbs_probs,
     binary_entropy,
     logsumexp,
-    thermal_state,
 )
 
 #: Width (in ln alpha) down to which the grid minimum is refined.
@@ -98,12 +97,12 @@ class TransitionInstance:
     identical, independently transformed copies; divergences are additive so
     the composite never has to be materialized.
 
-    The hot Gibbs state q and the support-log records of (p||q) and (p'||q) are
-    read from the cold states' memos at beta_h (``DiagonalState.gibbs_logs``),
-    which share one q, and every work formula reads them. So do the grid power
-    sums of a solve on ALPHA_GRID, and any feasibility check of the same states
-    at beta_h finds them there too. The records never raise; the order-1 terms
-    raise DomainError if q underflows anywhere.
+    The hot Gibbs state q and the records of (p||q) and (p'||q) are the cold
+    states' memos at beta_h (``DiagonalState.gibbs_logs``), sharing one q. The
+    instance keeps that pair for every work formula and the grid power sums of
+    a solve, even after the states' slots move to another beta; a check of the
+    states at beta_h finds it while they do not. The records never raise; the
+    order-1 terms raise DomainError if q underflows anywhere.
     """
 
     cold_initial: DiagonalState
@@ -114,14 +113,14 @@ class TransitionInstance:
     copies: int = 1
 
     def __post_init__(self):
-        if not (self.beta_c > self.beta_h > 0):
-            raise ParameterError("need beta_c > beta_h > 0")
+        if not (math.inf > self.beta_c > self.beta_h > 0):
+            raise ParameterError("need finite beta_c > beta_h > 0")
         if self.cold_final.spectrum != self.cold_initial.spectrum:
             raise ParameterError("initial and final cold states live on different spectra")
         if self.copies < 1:
             raise ParameterError("copies must be a positive integer")
-        ref = thermal_state(self.cold_initial.spectrum, self.beta_c)
-        if np.max(np.abs(ref.array - self.cold_initial.array)) > 1e-12:
+        ref = _gibbs_probs(self.cold_initial.spectrum, self.beta_c)
+        if not np.max(np.abs(ref - self.cold_initial.array)) <= 1e-12:
             raise ParameterError("cold_initial must be thermal at beta_c")
 
     @property
@@ -133,24 +132,15 @@ class TransitionInstance:
         return _gibbs_pair(self.cold_initial, self.cold_final, self.beta_h)
 
     @property
-    def _tau_h(self) -> DiagonalState:
-        return self._gibbs_logs[0].tau
-
-    @property
-    def _support_logs(self) -> Tuple[SupportLogs, SupportLogs]:
-        initial, final = self._gibbs_logs
-        return initial.logs, final.logs
-
-    @property
     def _dinf_drop(self) -> float:
-        initial, final = self._support_logs
-        return self.copies * (initial.d_infinity() - final.d_infinity())
+        initial, final = self._gibbs_logs
+        return self.copies * (initial.logs.d_infinity() - final.logs.d_infinity())
 
     @property
     def _d1_drops(self) -> Tuple[float, float]:
         """The drops of D1 and of half the log-ratio variance, times copies."""
-        _check_pair(self.cold_initial, self._tau_h)
-        (d1p, vp), (d1pp, vpp) = (logs.d_one_and_variance() for logs in self._support_logs)
+        _check_pair(self.cold_initial, self._gibbs_logs[0].tau)
+        (d1p, vp), (d1pp, vpp) = (h.logs.d_one_and_variance() for h in self._gibbs_logs)
         return self.copies * (d1p - d1pp), self.copies * (vp - vpp) / 2.0
 
 
@@ -203,9 +193,9 @@ def _gibbs_pair(rho0: DiagonalState, rho1: DiagonalState, beta_h: float) -> Tupl
 
 def _log_a(inst: TransitionInstance, alphas: np.ndarray) -> np.ndarray:
     """ln A = copies * [ln sum p^a q^(1-a) - ln sum p'^a q^(1-a)]."""
-    initial, final = inst._support_logs
+    initial, final = inst._gibbs_logs
     a = np.atleast_1d(np.asarray(alphas, dtype=float))[:, None]
-    return inst.copies * (initial.log_power_sum(a) - final.log_power_sum(a))
+    return inst.copies * (initial.logs.log_power_sum(a) - final.logs.log_power_sum(a))
 
 
 def _grid_log_a(inst: TransitionInstance) -> np.ndarray:
@@ -490,9 +480,9 @@ def transition_feasible(rho0: DiagonalState, rho1: DiagonalState, beta_h: float)
     lists every violating order and the worst (most negative) gap. The
     -ln Z / beta term is common to both sides and drops out. The hot Gibbs
     state, the support logs and the grid power sums of each state are its
-    memos at beta_h (``DiagonalState.gibbs_logs``): a solve or an earlier
-    check of the same state objects at the same beta_h has built them, and
-    only the tagged terms and the gaps are computed again.
+    memo at beta_h (``DiagonalState.gibbs_logs``): a solve or an earlier
+    check of the same state objects at beta_h, with no other beta in between,
+    has built them, and only the tagged terms and the gaps are computed again.
     """
     if rho0.spectrum != rho1.spectrum:
         raise ParameterError("states live on different spectra")

@@ -10,9 +10,10 @@ Conventions used throughout the package:
 
 All values are immutable after construction and all operations are pure
 functions, safe to share across concurrent workers. A DiagonalState memoizes
-its logs against the Gibbs state of each inverse temperature it is compared
-with (``DiagonalState.gibbs_logs``); a memo write is idempotent, so two
-workers that race on it only compute equal values twice.
+its logs against one Gibbs state, of the latest beta asked for, in one slot
+(``DiagonalState.gibbs_logs``). Two workers that use one state at different
+betas replace each other's slot, but each call still returns the memo for its
+own beta, so a race only costs a recomputation.
 """
 from __future__ import annotations
 
@@ -151,10 +152,10 @@ class DiagonalState:
     """Probability vector aligned with an EnergySpectrum.
 
     ``array`` is the vector as a read-only ndarray, built once. ``gibbs_logs``
-    memoizes, per inverse temperature, the Gibbs state of the spectrum, the
+    keeps one memo, for the latest inverse temperature: the Gibbs state, the
     SupportLogs of (this state || that Gibbs state) and their power sums on
-    ALPHA_GRID. The memos live in the instance's ``__dict__``, next to the
-    fields, so equality, hashing and repr see only ``probs`` and ``spectrum``.
+    ALPHA_GRID. It lives in the instance's ``__dict__``, next to the fields, so
+    equality, hashing and repr see only ``probs`` and ``spectrum``.
     """
 
     probs: Tuple[float, ...]
@@ -180,23 +181,21 @@ class DiagonalState:
     def full_rank(self) -> bool:
         return min(self.probs) > 0.0
 
-    @cached_property
-    def _gibbs_memos(self) -> dict:
-        return {}
+    _gibbs_memo = None  # not a field: the slot of gibbs_logs
 
     def gibbs_logs(self, beta: float, gibbs: "DiagonalState | None" = None) -> "GibbsLogs":
-        """This state against the Gibbs state of its spectrum at ``beta``, built
-        on the first call for that beta and read back after it.
+        """This state against the Gibbs state of its spectrum at ``beta``: the
+        memo in the state's slot if it is for ``beta``, else a new one in its place.
 
         ``gibbs`` is that Gibbs state when the caller already holds it (it is
-        then shared, not rebuilt); it is ignored once the memo exists.
+        then shared, not rebuilt); it is ignored while the slot's memo matches.
         """
-        memo = self._gibbs_memos.get(beta)
-        if memo is None:
+        memo = self._gibbs_memo
+        if memo is None or memo.beta != beta:
             if gibbs is None or gibbs is self:  # a memo never holds its own state
                 gibbs = thermal_state(self.spectrum, beta)
-            memo = GibbsLogs(gibbs, SupportLogs.of(self.array, gibbs.array))
-            self._gibbs_memos[beta] = memo
+            memo = GibbsLogs(beta, gibbs, SupportLogs.of(self.array, gibbs.array))
+            self.__dict__["_gibbs_memo"] = memo
         return memo
 
 
@@ -259,9 +258,14 @@ def thermal_state(spectrum: EnergySpectrum, beta: float) -> DiagonalState:
     """
     if not (isinstance(beta, (int, float)) and beta > 0):
         raise ParameterError(f"beta must be positive, got {beta!r}")
+    return DiagonalState(_gibbs_probs(spectrum, beta), spectrum)
+
+
+def _gibbs_probs(spectrum: EnergySpectrum, beta: float) -> np.ndarray:
+    """The probabilities of ``thermal_state``, unchecked."""
     energies = spectrum.array
     w = np.exp(-float(beta) * (energies - energies.min()))
-    return DiagonalState(w / w.sum(), spectrum)
+    return w / w.sum()
 
 
 def state_moments(state: DiagonalState) -> Tuple[float, float, float]:
@@ -354,11 +358,12 @@ class SupportLogs(NamedTuple):
 
 
 class GibbsLogs:
-    """A state's memo for one inverse temperature (``DiagonalState.gibbs_logs``):
-    the Gibbs state ``tau``, the SupportLogs of (state || tau), and, built on
-    first use, their log power sums on ALPHA_GRID."""
+    """A state's memo for the inverse temperature ``beta``
+    (``DiagonalState.gibbs_logs``): the Gibbs state ``tau``, the SupportLogs of
+    (state || tau), and, built on first use, their log power sums on ALPHA_GRID."""
 
-    def __init__(self, tau: DiagonalState, logs: SupportLogs):
+    def __init__(self, beta: float, tau: DiagonalState, logs: SupportLogs):
+        self.beta = beta
         self.tau = tau
         self.logs = logs
 
@@ -412,10 +417,9 @@ def alpha_free_energy(rho: DiagonalState, tau_h: DiagonalState, alpha, beta_h: f
     tau_h must be the thermal state of rho's spectrum at beta_h; at alpha = 1
     this reduces to the Helmholtz form <H> - S/beta_h.
     """
-    if beta_h <= 0:
-        raise ParameterError("beta_h must be positive")
-    expected = thermal_state(rho.spectrum, beta_h)
-    if np.max(np.abs(expected.array - tau_h.array)) > 1e-9:
+    if not math.inf > beta_h > 0:
+        raise ParameterError("beta_h must be positive and finite")
+    if not np.max(np.abs(_gibbs_probs(rho.spectrum, beta_h) - tau_h.array)) <= 1e-9:
         raise ParameterError("tau_h is not the thermal state of rho's spectrum at beta_h")
     ln_z = rho.spectrum.log_partition(beta_h)
     return (renyi_divergence(rho, tau_h, alpha) - ln_z) / beta_h

@@ -265,9 +265,18 @@ def test_nonphysical_temperatures_and_gaps_are_config_errors(argv, capsys):
          "--hi", "60", "--steps", "3", "--g", "nan", "--output", "unused.csv"],
         ["multicycle", "--w", "1", "--e", "15", "--t-hot", "15", "--t-cold", "10",
          "--n-schedule", "100.7,1000.9"],
+        ["multicycle", "--w", "nan", "--e", "15", "--t-hot", "15", "--t-cold", "10"],
+        ["sweep", "--mode", "tcold", "--t-hot", "20", "--e-min", "15", "--lo", "nan",
+         "--hi", "19.5", "--steps", "3", "--output", "unused.csv"],
+        ["sweep", "--mode", "energy", "--t-hot", "15", "--t-cold", "10", "--lo", "nan",
+         "--hi", "60", "--steps", "3", "--output", "unused.csv"],
+        ["sweep", "--mode", "thot", "--t-cold", "5", "--e-min", "15", "--lo", "5.5",
+         "--hi", "inf", "--steps", "3", "--output", "unused.csv"],
+        ["work", "--e", "45", "--t-hot", "15", "--t-cold", "10", "--family-c", "nan"],
     ],
     ids=["feasible-longer-p1", "feasible-shorter-p1", "work-g-out-of-regime", "work-g-nan",
-         "sweep-g-nan", "multicycle-fractional-n"],
+         "sweep-g-nan", "multicycle-fractional-n", "multicycle-w-nan", "sweep-tcold-lo-nan",
+         "sweep-energy-lo-nan", "sweep-thot-hi-inf", "work-family-c-nan"],
 )
 def test_malformed_lists_steps_and_cycle_counts_are_config_errors(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -283,8 +292,9 @@ def test_malformed_lists_steps_and_cycle_counts_are_config_errors(argv, capsys, 
         "mode = thot\ne-min = 15\nsteps = abc\n",
         "mode = bogus\ne-min = 15\nsteps = 3\n",
         "mode = thot\ne = 15\nsteps = 3\n",  # work's --e is not sweep's --e-min
+        "mode = thot\ne-min = 15\nsteps = 3\nlo = nan\n",
     ],
-    ids=["bad-int", "bad-choice", "e-not-e-min"],
+    ids=["bad-int", "bad-choice", "e-not-e-min", "lo-nan"],
 )
 def test_config_values_checked_like_flags(tmp_path, lines):
     conf = tmp_path / "run.conf"

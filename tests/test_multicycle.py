@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from nanoheat import (
@@ -33,6 +35,8 @@ def test_plan_rejects_wrong_regime_and_params():
         plan_cycles(1.0, E, BC, BH, 1.5, 1000)
     with pytest.raises(ParameterError):
         plan_cycles(1.0, E, BC, BH, 0.5, 0)
+    with pytest.raises(ParameterError):
+        plan_cycles(math.nan, E, BC, BH, 0.5, 1000)
     with pytest.raises(RegimeError):
         plan_cycles(1e6, E, BC, BH, 0.5, 10)  # step too large to be quasi-static
 

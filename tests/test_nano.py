@@ -215,6 +215,12 @@ def test_family_range_errors():
         EpsilonFamily.power(2.0, 1.0).eval(0.9)  # eps >= 1
     with pytest.raises(ParameterError):
         EpsilonFamily.exponential().eval(1e-3)  # underflow to 0
+    for c, k in ((math.nan, 0.5), (1.0, math.nan)):
+        with pytest.raises(ParameterError):
+            EpsilonFamily.power(c, k)
+    for family in (EpsilonFamily.exponential(), EpsilonFamily.log_linear(), EpsilonFamily.power()):
+        with pytest.raises(ParameterError):
+            family.eval(math.nan)
 
 
 def test_kappa_estimator_within_band():

@@ -538,6 +538,8 @@ def test_memoized_results_equal_those_of_fresh_equal_states():
     inst = _twelve_qubit_instance()
     memoized = _solve_and_check_both_ways(inst)
     second_beta = transition_feasible(inst.cold_initial, inst.cold_final, 1 / 20)
+    back = transition_feasible(inst.cold_initial, inst.cold_final, inst.beta_h)
+    assert repr(back) == repr(memoized[1])
     cut = max_extractable_work(inst, alpha_min=0.5)
 
     def fresh():
@@ -549,6 +551,42 @@ def test_memoized_results_equal_those_of_fresh_equal_states():
     assert _identical(second_beta, transition_feasible(rebuilt.cold_initial, rebuilt.cold_final, 1 / 20))
     assert _identical(cut, max_extractable_work(fresh(), alpha_min=0.5))
     assert memoized[1].feasible and not memoized[2].feasible
+
+
+def test_a_temperature_scan_keeps_one_memo_per_state():
+    import tracemalloc
+
+    inst = _twelve_qubit_instance()
+    solved = max_extractable_work(inst)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for beta_h in np.linspace(1 / 40, 1 / 16, 50):
+            transition_feasible(inst.cold_initial, inst.cold_final, beta_h)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 4e6  # one memo per beta_h would keep about 20 MB
+    assert _identical(max_extractable_work(inst), solved)  # the instance kept its pair
+
+
+def test_an_instance_of_existing_states_builds_no_state(monkeypatch):
+    cold_initial = thermal_state(QUBIT, 1.0)
+    cold_final = thermal_state(QUBIT, 0.9)
+    built = []
+    post_init = DiagonalState.__post_init__
+
+    def counted(state):
+        built.append(state)
+        post_init(state)
+
+    monkeypatch.setattr(DiagonalState, "__post_init__", counted)
+    inst = TransitionInstance(cold_initial, cold_final, 0.5, 1.0, battery(1e-3))
+    assert built == []
+    for beta_c in (1.0, math.inf):  # the thermal check still holds
+        with pytest.raises(ParameterError):
+            TransitionInstance(cold_final, cold_final, 0.5, beta_c, battery(1e-3))
+    assert inst.cold_initial is cold_initial and built == []
 
 
 def test_hot_gibbs_underflow_splits_the_orders():

@@ -226,6 +226,9 @@ def test_free_energy_rejects_wrong_reference():
     rho = thermal_state(QUBIT, 1.0)
     with pytest.raises(ParameterError):
         alpha_free_energy(rho, tau_wrong, 1.0, 0.5)
+    for beta_h in (math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            alpha_free_energy(rho, rho, 1.0, beta_h)
 
 
 def test_thermal_minimizes_order1_free_energy():
@@ -290,7 +293,7 @@ def test_constructors_preserve_normalization(beta1, beta2):
     assert abs(sum(joint.probs) - 1.0) < 1e-12
 
 
-# --- read-only arrays and per-beta memos --------------------------------------
+# --- read-only arrays and the Gibbs memo ------------------------------------
 
 def test_arrays_are_read_only():
     spectrum = EnergySpectrum((0.0, 1.0, 2.5))
@@ -327,6 +330,17 @@ def test_gibbs_memo_never_holds_its_own_state():
     assert memo.tau is not tau and memo.tau == tau
     other = DiagonalState((0.9, 0.1), QUBIT)
     assert other.gibbs_logs(0.5, tau).tau is tau  # a Gibbs state handed in is shared
+
+
+def test_gibbs_logs_keeps_one_memo_for_the_latest_beta():
+    state = DiagonalState((0.9, 0.1), QUBIT)
+    first = state.gibbs_logs(0.5)
+    assert state.gibbs_logs(0.5) is first and first.beta == 0.5
+    second = state.gibbs_logs(0.25)
+    assert second.beta == 0.25 and state.gibbs_logs(0.25) is second
+    again = state.gibbs_logs(0.5)  # the slot moved on: rebuilt, equal
+    assert again is not first and again.tau == first.tau
+    assert again.grid_sums.tolist() == first.grid_sums.tolist()
 
 
 # --- Alpha tags --------------------------------------------------------------
