@@ -225,6 +225,7 @@ def nano_records(rec):
     rec("EpsilonFamily.power(nan)", nh.EpsilonFamily.power, math.nan)
     rec("EpsilonFamily.power(1.0, nan)", nh.EpsilonFamily.power, 1.0, math.nan)
     rec("plan_cycles(w_target=nan)", nh.plan_cycles, math.nan, 15.0, 0.1, 1.0 / 15.0, 0.5, 1000)
+    rec("plan_cycles(w_target=inf)", nh.plan_cycles, math.inf, 15.0, 0.1, 1.0 / 15.0, 0.5, 1000)
 
 
 def macro_extension_records(rec):
@@ -287,6 +288,9 @@ CLI_RUNS = {
     "multicycle-n-exponent": ["multicycle", "--w", "1", "--e", "15", "--t-hot", "15",
                               "--t-cold", "10", "--n-schedule", "1e2,1e3"],
     "multicycle-w-nan": ["multicycle", "--w", "nan", "--e", "15", "--t-hot", "15", "--t-cold", "10"],
+    "multicycle-w-inf": ["multicycle", "--w", "inf", "--e", "15", "--t-hot", "15", "--t-cold", "10"],
+    "work-t-cold-subnormal": ["work", "--e", "45", "--t-hot", "15", "--t-cold", "1e-320"],
+    "classify-t-cold-subnormal": ["classify", "--e", "45", "--t-hot", "15", "--t-cold", "1e-320"],
     "work-family-c-nan": ["work", "--e", "45", "--t-hot", "15", "--t-cold", "10", "--family-c", "nan"],
     "sweep-tcold-lo-nan": ["sweep", "--mode", "tcold", "--t-hot", "20", "--e-min", "15",
                            "--lo", "nan", "--hi", "19.5", "--steps", "3"],

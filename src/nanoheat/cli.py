@@ -12,6 +12,7 @@ failure while writing results.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -109,8 +110,11 @@ def positive(text: str) -> float:
 
 def _betas(*temperatures: float) -> tuple:
     """Inverse temperatures (k_B = 1) of baths given hottest first, each colder
-    than the one before; the option types keep every temperature positive."""
+    than the one before; the option types keep every temperature positive, and
+    a subnormal one, whose inverse overflows, is rejected here."""
     betas = tuple(1.0 / t for t in temperatures)
+    if not all(map(math.isfinite, betas)):
+        raise _CliError("need temperatures whose inverse is finite")
     if any(not b > a for a, b in zip(betas, betas[1:])):
         raise _CliError("need t_cold < t_hot")
     return betas

@@ -7,6 +7,7 @@ analytically; nothing is simulated per cycle.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -62,7 +63,7 @@ def plan_cycles(
     from the power family at the chosen decay exponent. Only the
     Carnot-attainable regime (Omega <= 1) is supported.
     """
-    if not w_target > 0:
+    if not 0 < w_target < math.inf:
         raise ParameterError("target work must be positive")
     if not (isinstance(n_cycles, int) and n_cycles >= 1):
         raise ParameterError("n_cycles must be a positive integer")

@@ -21,12 +21,19 @@ from .errors import (
     RegimeError,
 )
 from .macro import efficiency_breakdown, quasi_static_instance
-from .second_laws import Alpha, _bisect, max_extractable_work
+from .second_laws import Alpha, _bisect_many, _speculation_depth, max_extractable_work
 from .thermo import EnergySpectrum, QubitBath, binary_entropy, thermal_state
 
 #: gamma grid used by the endpoint-dichotomy check: 1e4 log-spaced points.
 DICHOTOMY_GRID_POINTS = 10_000
 DICHOTOMY_GRID_MAX = 1e3
+
+#: Orders at which classify_regime samples g for sign changes: 400 log-spaced
+#: points over [1e-3, 1e3], less those near order 1, where the exact zero of g
+#: is not a sign change.
+SIGN_GRID = np.geomspace(1e-3, DICHOTOMY_GRID_MAX, 400)
+SIGN_GRID = SIGN_GRID[(SIGN_GRID < 0.98) | (SIGN_GRID > 1.02)]
+SIGN_GRID.flags.writeable = False
 
 #: Relative band factor for prediction-vs-numeric comparisons:
 #: |relative difference| <= BAND_C * (g + eps + eps^kappa_bar / g).
@@ -390,17 +397,18 @@ def classify_regime(e_gap: float, beta_c: float, beta_h: float) -> RegimeClassif
     case = case_label(ind)
     eta = quasistatic_efficiency(beta_c, beta_h, max(1.0, om))
 
-    grid = np.geomspace(1e-3, DICHOTOMY_GRID_MAX, 400)
-    grid = grid[(grid < 0.98) | (grid > 1.02)]  # the exact zero at 1 is not a sign change
-    vals = g_function(e_gap, beta_c, beta_h, grid)
+    vals = g_function(e_gap, beta_c, beta_h, SIGN_GRID)
+    grid, positive = SIGN_GRID.tolist(), (vals > 0).tolist()
+    depth = _speculation_depth(2)  # the closed forms cost about what a qubit curve does
     roots = []
-    for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
+    for a, b, up, up_b in zip(grid[:-1], grid[1:], positive[:-1], positive[1:]):
         if a < 1.0 < b:
             continue  # bracket spanning the excluded seam
-        if (fa > 0) != (fb > 0):
+        if up != up_b:
             # the root lies above x while g(x) keeps the sign g has at a
-            up = fa > 0
-            roots.append(_bisect(lambda x: (g_function(e_gap, beta_c, beta_h, x) > 0) == up, a, b))
+            roots.append(_bisect_many(
+                lambda xs: ((g_function(e_gap, beta_c, beta_h, xs) > 0) == up).tolist(), a, b, depth
+            ))
     below = [r for r in roots if r < 1.0]
     above = [r for r in roots if r > 1.0]
 
@@ -411,12 +419,12 @@ def classify_regime(e_gap: float, beta_c: float, beta_h: float) -> RegimeClassif
         # beyond the sampled window)
         consistent = len(below) == 0 and len(above) <= 1
         if not near_boundary:
-            consistent = consistent and float(vals[grid < 0.98][-1]) > 0
+            consistent = consistent and float(vals[SIGN_GRID < 0.98][-1]) > 0
     elif case == CASE_GT2:
         # one downward crossing below order 1 (possibly below the window), none after
         consistent = len(below) <= 1 and len(above) == 0
         if not near_boundary:
-            consistent = consistent and float(vals[grid > 1.02][0]) < 0
+            consistent = consistent and float(vals[SIGN_GRID > 1.02][0]) < 0
     else:
         consistent = len(below) == 0 and len(above) == 0
     if not consistent:
@@ -451,7 +459,8 @@ def estimate_nu(e_gap: float, beta_c: float, beta_h: float) -> float:
     lo = 1e-8
     if f(lo) > 0:
         return 0.0
-    return _bisect(lambda k: not f(k) > 0, lo, 1.0 - 1e-9)
+    # the root lies above k while gamma(k) is not above its limit (nan is not)
+    return _bisect_many(lambda ks: (~(f(ks) > 0)).tolist(), lo, 1.0 - 1e-9, _speculation_depth(2))
 
 
 def infimum_location(e_gap: float, beta_c: float, beta_h: float, kappa_bar: float) -> Alpha:

@@ -373,20 +373,46 @@ def _golden_section(f_many, lo: float, hi: float, depth: int, max_iter: int = 20
     return x, min(f1, f2), b - a
 
 
-def _bisect(root_above, lo: float, hi: float) -> float:
-    """Bisection on [lo, hi]; ``root_above(x)`` says whether the root lies above x.
+def _bisection_tree(lo: float, hi: float, steps: int) -> list:
+    """The midpoint of (lo, hi) and every midpoint the next ``steps - 1 >= 0``
+    bisection steps could probe after it: the upper half's subtree, then the
+    lower half's. The arithmetic is that of the loop in ``_bisect_many``."""
+    mid = 0.5 * (lo + hi)
+    if not lo < mid < hi:
+        return []
+    if steps <= 1:
+        return [mid]
+    return [mid, *_bisection_tree(mid, hi, steps - 1), *_bisection_tree(lo, mid, steps - 1)]
+
+
+def _bisect_many(above_many, lo: float, hi: float, depth: int) -> float:
+    """Bisection on [lo, hi]; ``above_many(points)`` says for each point whether
+    the root lies above it.
 
     Halves the bracket until its midpoint is no longer strictly inside it,
-    i.e. down to adjacent floats, and returns that midpoint.
+    i.e. down to adjacent floats, and returns that midpoint. Each call of
+    ``above_many`` gets the midpoint the loop needs now and every midpoint the
+    next ``depth - 1`` steps could probe after it, 2**depth - 1 in all; the
+    loop reads its answers from those, so it takes the same steps as with one
+    point per call, whatever the predicate.
     """
+    known = {}
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return mid
-        if root_above(mid):
+        if mid not in known:
+            points = _bisection_tree(lo, hi, depth)
+            known.update(zip(points, above_many(points)))
+        if known[mid]:
             lo = mid
         else:
             hi = mid
+
+
+def _bisect(root_above, lo: float, hi: float) -> float:
+    """``_bisect_many`` with a one-point predicate: one call of ``root_above(x)`` per step."""
+    return _bisect_many(lambda points: [root_above(x) for x in points], lo, hi, 1)
 
 
 def max_extractable_work(inst: TransitionInstance, alpha_min: float = ALPHA_GRID_MIN) -> WorkResult:

@@ -244,10 +244,15 @@ def test_exit_code_on_config_errors(tmp_path):
         ["work", "--e", "45", "--t-hot", "10", "--t-cold", "15"],
         ["work", "--e", "-3", "--t-hot", "15", "--t-cold", "10"],
         ["work", "--e", "0", "--t-hot", "15", "--t-cold", "10"],
+        ["work", "--e", "45", "--t-hot", "15", "--t-cold", "1e-320"],
+        ["classify", "--e", "45", "--t-hot", "15", "--t-cold", "1e-320"],
+        ["feasible", "--levels", "0,1", "--p0", "0.6,0.4", "--p1", "0.7,0.3", "--t-hot", "1e-320"],
     ],
     ids=["work-t-hot-0", "classify-t-hot-0", "feasible-t-hot-0", "multicycle-t-hot-0",
-         "work-swapped-temperatures", "work-negative-gap", "work-zero-gap"],
+         "work-swapped-temperatures", "work-negative-gap", "work-zero-gap",
+         "work-t-cold-subnormal", "classify-t-cold-subnormal", "feasible-t-hot-subnormal"],
 )
+@pytest.mark.filterwarnings("error")
 def test_nonphysical_temperatures_and_gaps_are_config_errors(argv, capsys):
     assert run_command(argv) == 1
     err = capsys.readouterr().err
@@ -266,6 +271,7 @@ def test_nonphysical_temperatures_and_gaps_are_config_errors(argv, capsys):
         ["multicycle", "--w", "1", "--e", "15", "--t-hot", "15", "--t-cold", "10",
          "--n-schedule", "100.7,1000.9"],
         ["multicycle", "--w", "nan", "--e", "15", "--t-hot", "15", "--t-cold", "10"],
+        ["multicycle", "--w", "inf", "--e", "15", "--t-hot", "15", "--t-cold", "10"],
         ["sweep", "--mode", "tcold", "--t-hot", "20", "--e-min", "15", "--lo", "nan",
          "--hi", "19.5", "--steps", "3", "--output", "unused.csv"],
         ["sweep", "--mode", "energy", "--t-hot", "15", "--t-cold", "10", "--lo", "nan",
@@ -275,7 +281,8 @@ def test_nonphysical_temperatures_and_gaps_are_config_errors(argv, capsys):
         ["work", "--e", "45", "--t-hot", "15", "--t-cold", "10", "--family-c", "nan"],
     ],
     ids=["feasible-longer-p1", "feasible-shorter-p1", "work-g-out-of-regime", "work-g-nan",
-         "sweep-g-nan", "multicycle-fractional-n", "multicycle-w-nan", "sweep-tcold-lo-nan",
+         "sweep-g-nan", "multicycle-fractional-n", "multicycle-w-nan", "multicycle-w-inf",
+         "sweep-tcold-lo-nan",
          "sweep-energy-lo-nan", "sweep-thot-hi-inf", "work-family-c-nan"],
 )
 def test_malformed_lists_steps_and_cycle_counts_are_config_errors(argv, capsys, tmp_path, monkeypatch):

@@ -37,6 +37,7 @@ from nanoheat.nano import (
     gamma_infinity,
     gamma_one,
 )
+from nanoheat import nano, second_laws
 from nanoheat.second_laws import _bisect
 
 from conftest import make_rng
@@ -188,6 +189,70 @@ def test_classify_sign_pattern_consistency_random():
     for _ in range(1000):
         e, bc, bh = random_params(rng)
         classify_regime(e, bc, bh)  # raises on an impossible sign pattern
+
+
+def regime_map_cells(rng, n):
+    """(E, beta_c, beta_h) drawn over the README ranges: gaps in [1, 60],
+    T_cold in [1, 19.5], T_hot in [max(5.5, 1.05 T_cold), 60]."""
+    for _ in range(n):
+        t_cold = rng.uniform(1.0, 19.5)
+        t_hot = rng.uniform(max(5.5, 1.05 * t_cold), 60.0)
+        yield rng.uniform(1.0, 60.0), 1.0 / t_cold, 1.0 / t_hot
+
+
+def test_batched_roots_match_the_one_point_bisection(monkeypatch):
+    roots = []
+    batched = nano._bisect_many
+
+    def spy(above_many, lo, hi, depth):
+        assert depth == second_laws._speculation_depth(2) == 6
+        root = batched(above_many, lo, hi, depth)
+        assert root == _bisect(lambda x: above_many([x])[0], lo, hi)
+        roots.append(root)
+        return root
+
+    monkeypatch.setattr(nano, "_bisect_many", spy)
+    found = 0
+    for cell in regime_map_cells(make_rng(41), 200):
+        roots.clear()
+        cls = classify_regime(*cell)
+        nu = estimate_nu(*cell)
+        found += len(roots)
+        n = len(cls.g_sign_changes)
+        assert cls.g_sign_changes == tuple(roots[:n])
+        assert nu == (roots[n] if len(roots) > n else 0.0)
+        # each search ends between adjacent floats on either side of the crossing
+        ginf = gamma_infinity(*cell)
+        for i, r in enumerate(roots):
+            around = [math.nextafter(r, 0.0), r, math.nextafter(r, math.inf)]
+            above = g_function(*cell, around) > 0 if i < n else gamma(*cell, around) > ginf
+            assert 0 < np.count_nonzero(above) < 3
+    assert found > 100
+
+
+def test_regime_roots_and_nu_batch_their_bisection(monkeypatch):
+    calls = {}
+    for name in ("g_function", "gamma"):
+        def counted(*args, _fn=getattr(nano, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(nano, name, counted)
+    roots = bisected = 0
+    for cell in regime_map_cells(make_rng(42), 100):
+        calls.update(g_function=0, gamma=0)
+        cls = classify_regime(*cell)
+        nu = estimate_nu(*cell)
+        # one grid call, then at most 10 per root (about 48 with one point per call)
+        assert calls["g_function"] <= 1 + 10 * len(cls.g_sign_changes)
+        roots += len(cls.g_sign_changes)
+        if nu > 0.0:
+            # one call at the lower end 1e-8, then one per 6 steps: a root near
+            # 1e-8 takes about 80 steps down to adjacent floats, so at most 15
+            # (about 57, up to 81, with one point per call)
+            assert calls["gamma"] <= 15
+            bisected += 1
+    assert roots > 50 and bisected > 20
 
 
 # --- epsilon families --------------------------------------------------------

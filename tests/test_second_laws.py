@@ -388,6 +388,59 @@ def test_batched_refinement_error_on_a_visited_point_raises():
         batched_golden_section(f_many, 0.0, 1.0, 6)
 
 
+# --- the batched bisection ----------------------------------------------------
+
+def one_point_bisect(root_above, lo, hi):
+    """Reference: the bisection with one predicate call per step, as before batching."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if root_above(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
+BISECTION_PREDICATES = {
+    "root-at-0.3": lambda x: x < 0.3,
+    # no monotone pattern: the answer hangs on the bits of x
+    "hashed": lambda x: hash(x) % 3 == 0,
+    "always-above": lambda x: True,
+    "never-above": lambda x: False,
+}
+
+BRACKETS = {
+    "unit": (0.0, 1.0),
+    "across-zero": (-1e3, 1e-300),
+    "orders": (1e-3, 1e3),
+    "adjacent-floats": (1.0, math.nextafter(1.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("depth", [1, 2, 6, 7, 10])
+@pytest.mark.parametrize("bracket", sorted(BRACKETS))
+@pytest.mark.parametrize("predicate", sorted(BISECTION_PREDICATES))
+def test_batched_bisection_replays_the_one_point_search(predicate, bracket, depth):
+    above = BISECTION_PREDICATES[predicate]
+    lo, hi = BRACKETS[bracket]
+    recorded_above, visits = recorded(above)
+    expected = one_point_bisect(recorded_above, lo, hi)
+    batches = []
+
+    def above_many(points):
+        batches.append(list(points))
+        return [above(x) for x in points]
+
+    assert second_laws._bisect_many(above_many, lo, hi, depth) == expected
+    assert second_laws._bisect(above, lo, hi) == expected
+    # a batch every depth steps, starting with the point that step needs: its
+    # midpoint lies strictly inside its bracket, where no earlier batch has a point
+    assert [batch[0] for batch in batches] == visits[::depth]
+    assert all(len(batch) <= 2 ** depth - 1 for batch in batches)
+    assert set(visits) <= {x for batch in batches for x in batch}
+
+
 def test_qubit_solve_batches_its_refinement(monkeypatch):
     calls = []
     curve = second_laws.work_curve_values
