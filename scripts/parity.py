@@ -298,6 +298,10 @@ CLI_RUNS = {
                             "--lo", "nan", "--hi", "60", "--steps", "3"],
     "sweep-thot-hi-inf": ["sweep", "--mode", "thot", "--t-cold", "5", "--e-min", "15",
                           "--lo", "5.5", "--hi", "inf", "--steps", "3"],
+    "sweep-thot-t-cold-subnormal": ["sweep", "--mode", "thot", "--t-cold", "1e-320",
+                                    "--e-min", "15", "--lo", "5.5", "--hi", "60", "--steps", "3"],
+    "sweep-tcold-lo-subnormal": ["sweep", "--mode", "tcold", "--t-hot", "20", "--e-min", "15",
+                                 "--lo", "1e-320", "--hi", "19.5", "--steps", "3"],
 }
 
 

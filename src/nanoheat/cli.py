@@ -132,7 +132,7 @@ def _sweep_point(e_gap, t_hot, t_cold, g, family):
     if t_hot <= 0 or t_cold <= 0 or e_gap <= 0:
         return out_of_regime
     beta_h, beta_c = 1.0 / t_hot, 1.0 / t_cold
-    if not beta_c > beta_h or g >= beta_c - beta_h:
+    if not math.inf > beta_c > beta_h or g >= beta_c - beta_h:
         return out_of_regime
     om = nano.omega_single(e_gap, beta_c, beta_h)
     eta_nano = nano.quasistatic_efficiency(beta_c, beta_h, max(1.0, om))
@@ -154,8 +154,11 @@ def _cmd_sweep(args) -> int:
         raise _CliError("--steps must be at least 2")
     fixed = {"e_gap": args.e_min, "t_hot": args.t_hot, "t_cold": args.t_cold,
              "g": args.g, "family": _family_from_args(args)}
-    values = np.linspace(args.lo, args.hi, args.steps)
-    rows = [[float(x)] + _sweep_point(**{**fixed, varied: x}) for x in values]
+    for t in ("t_hot", "t_cold"):
+        if t != varied:  # each alone: a held t_cold >= t_hot gives OUT_OF_REGIME rows
+            _betas(fixed[t])
+    values = np.linspace(args.lo, args.hi, args.steps).tolist()
+    rows = [[x] + _sweep_point(**{**fixed, varied: x}) for x in values]
     write_csv(rows, SWEEP_HEADER, args.output)
     valid = sum(1 for r in rows if r[4] != OUT_OF_REGIME)
     print(f"sweep {args.mode}: {len(rows)} points ({valid} in regime) -> {args.output}")

@@ -192,16 +192,13 @@ def _gibbs_pair(rho0: DiagonalState, rho1: DiagonalState, beta_h: float) -> Tupl
 # ---------------------------------------------------------------------------
 
 def _log_a(inst: TransitionInstance, alphas: np.ndarray) -> np.ndarray:
-    """ln A = copies * [ln sum p^a q^(1-a) - ln sum p'^a q^(1-a)]."""
+    """ln A = copies * [ln sum p^a q^(1-a) - ln sum p'^a q^(1-a)]; handed
+    ALPHA_GRID itself, it reads the power sums the cold states memoize."""
     initial, final = inst._gibbs_logs
+    if alphas is ALPHA_GRID:
+        return inst.copies * (initial.grid_sums - final.grid_sums)
     a = np.atleast_1d(np.asarray(alphas, dtype=float))[:, None]
     return inst.copies * (initial.logs.log_power_sum(a) - final.logs.log_power_sum(a))
-
-
-def _grid_log_a(inst: TransitionInstance) -> np.ndarray:
-    """``_log_a`` on ALPHA_GRID, from the power sums the cold states memoize."""
-    initial, final = inst._gibbs_logs
-    return inst.copies * (initial.grid_sums - final.grid_sums)
 
 
 def _w_one(inst: TransitionInstance) -> float:
@@ -225,8 +222,9 @@ def _w_one_slope(inst: TransitionInstance) -> float:
 def _w_infinity(inst: TransitionInstance) -> float:
     eps = inst.battery.eps
     delta = inst._dinf_drop
-    if eps > 0 and math.log(eps) > delta:
-        # the failure branch of the battery dominates even at W = 0
+    if eps > 0 and math.log(eps) > delta > -math.inf:
+        # the failure branch of the battery dominates even at W = 0 (at
+        # delta = -inf, A = 0 and the bound is -inf, as at finite orders)
         raise ConstraintViolationError(
             "order-infinity condition has no solution with the charged level on top"
         )
@@ -236,41 +234,35 @@ def _w_infinity(inst: TransitionInstance) -> float:
 def work_curve_values(inst: TransitionInstance, alphas) -> np.ndarray:
     """Vectorized W_alpha over an array of finite positive orders.
 
-    Entries where the order imposes no finite bound come back as +inf. When
-    ``alphas`` is ALPHA_GRID itself, ln A comes from the cold states' memoized
-    grid power sums.
+    Entries where the order imposes no finite bound come back as +inf. Orders
+    within ALPHA_SEAM of 1 take W_1 plus its first-order term.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     if np.any(alphas <= 0) or np.any(~np.isfinite(alphas)):
         raise ParameterError("grid orders must be finite and positive")
     eps = inst.battery.eps
-    out = np.empty_like(alphas)
+    out = np.full(alphas.shape, math.inf)
     seam = np.abs(alphas - 1.0) <= ALPHA_SEAM
     if np.any(seam):
         w1 = _w_one(inst)
         slope = _w_one_slope(inst)
         out[seam] = w1 + (alphas[seam] - 1.0) * slope
-    rest = ~seam
-    if np.any(rest):
-        a = alphas[rest]
-        ln_a = _grid_log_a(inst) if alphas is ALPHA_GRID else _log_a(inst, a)
-        ln_eps = math.log(eps) if eps > 0.0 else -math.inf
-        # ln(eps^a / A); clipping ln A keeps it -inf, not nan, at eps = A = 0, so
-        # the bound there is ln A / (beta_h (a - 1)) = -inf, as for any A at eps = 0
-        gap = a * ln_eps - np.maximum(ln_a, -_BIG)
-        vals = np.full(a.shape, math.inf)
-        ok = gap < 0
-        bad_high = (~ok) & (a >= 1.0)
-        if np.any(bad_high):
-            raise ConstraintViolationError(
-                "A - eps^alpha <= 0 at an order >= 1; not a valid engine instance"
-            )
-        vals[ok] = (
-            ln_a[ok]
-            + np.log1p(-np.exp(gap[ok]))
-            - a[ok] * math.log1p(-eps)
-        ) / (inst.beta_h * (a[ok] - 1.0))
-        out[rest] = vals
+    ln_a = _log_a(inst, alphas)
+    ln_eps = math.log(eps) if eps > 0.0 else -math.inf
+    # ln(eps^a / A), taken as -inf where A = 0, so that the bound there is
+    # ln A / (beta_h (a - 1)) for every eps; clipping ln A keeps the branch
+    # np.where discards free of nan at eps = A = 0
+    gap = np.where(ln_a > -math.inf, alphas * ln_eps - np.maximum(ln_a, -_BIG), -math.inf)
+    ok = ~seam & (gap < 0)
+    if np.any(~(seam | ok) & (alphas >= 1.0)):
+        raise ConstraintViolationError(
+            "A - eps^alpha <= 0 at an order >= 1; not a valid engine instance"
+        )
+    out[ok] = (
+        ln_a[ok]
+        + np.log1p(-np.exp(gap[ok]))
+        - alphas[ok] * math.log1p(-eps)
+    ) / (inst.beta_h * (alphas[ok] - 1.0))
     return out
 
 
@@ -280,6 +272,10 @@ def w_alpha(inst: TransitionInstance, alpha) -> float:
     Tagged orders: ZERO gives +inf for eps > 0 (the support condition imposes
     no finite bound) and 0 for eps = 0 (no perfect work); ONE is the
     relative-entropy branch; INFINITY uses the max-ratio divergences.
+
+    Where A = 0 (the final cold state has weight on a level where the hot
+    Gibbs state underflows), the bound is ln A / (beta_h (alpha - 1)) for every
+    eps: -inf above order 1 and at INFINITY, +inf below order 1.
     """
     a = Alpha.of(alpha)
     if a.is_zero:

@@ -332,24 +332,23 @@ class SupportLogs(NamedTuple):
     def log_power_sum(self, a):
         """ln sum exp(a*lp + (1-a)*lq) for one order, or per row for a column of orders.
 
-        A column is evaluated in row blocks of at most BLOCK_ELEMENTS terms, so
-        the temporaries stay cache-sized; each row is reduced on its own, so
-        the values are those of the one-pass expression, bit for bit. Every
-        block's exponents go into one buffer per call, so at most two
-        block-sized temporaries are alive at once: freeing more of them block
-        after block can make the allocator return the memory to the OS and
-        fault it back in, which on 4096 levels cost more than the arithmetic.
+        A column is evaluated in row blocks of at most BLOCK_ELEMENTS terms (a
+        shorter column is one block), so the temporaries stay cache-sized;
+        each row is reduced on its own, so the values are those of the
+        one-pass expression, bit for bit. Every block's exponents go into one
+        buffer per call, so at most two block-sized temporaries are alive at
+        once: freeing more of them block after block can make the allocator
+        return the memory to the OS and fault it back in, which on 4096
+        levels cost more than the arithmetic.
         """
         if np.ndim(a) == 0:
             return logsumexp(self._exponents(a))
-        rows = max(1, BLOCK_ELEMENTS // self.lp.size)
-        if len(a) <= rows:
-            return logsumexp(self._exponents(a), axis=1)
+        rows = max(1, min(len(a), BLOCK_ELEMENTS // self.lp.size))
         block = np.empty((rows, self.lp.size))
-        return np.concatenate([
-            logsumexp(self._exponents(a[i:i + rows], block[:len(a) - i]), axis=1)
-            for i in range(0, len(a), rows)
-        ])
+        sums = np.empty(len(a))
+        for i in range(0, len(a), rows):
+            sums[i:i + rows] = logsumexp(self._exponents(a[i:i + rows], block[:len(a) - i]), axis=1)
+        return sums
 
     def _exponents(self, a, out=None):
         x = np.multiply(a, self.lp, out=out)

@@ -115,6 +115,19 @@ def test_sweep_temperature_modes_flag_invalid_points(tmp_path):
     assert all(float(r[0]) >= 20 - 1e-9 for r in flagged)
 
 
+@pytest.mark.filterwarnings("error")
+def test_sweep_over_a_subnormal_temperature_flags_that_point(tmp_path):
+    # 1 / 1e-320 overflows: that cold temperature is out of regime, the rest run
+    out = tmp_path / "tc.csv"
+    rc = run_command([
+        "sweep", "--mode", "tcold", "--t-hot", "20", "--e-min", "15",
+        "--lo", "1e-320", "--hi", "19.5", "--steps", "3", "--output", str(out),
+    ])
+    assert rc == 0
+    _, rows = rows_of(out)
+    assert [r[4] for r in rows] == ["OUT_OF_REGIME", "CASE_LT2", "CASE_LT2"]
+
+
 def test_sweep_tcold_curve_shape(tmp_path):
     # far below the hot bath the efficiency is reduced; close to it the
     # Carnot value is reached (the middle comparison panel)
@@ -247,10 +260,13 @@ def test_exit_code_on_config_errors(tmp_path):
         ["work", "--e", "45", "--t-hot", "15", "--t-cold", "1e-320"],
         ["classify", "--e", "45", "--t-hot", "15", "--t-cold", "1e-320"],
         ["feasible", "--levels", "0,1", "--p0", "0.6,0.4", "--p1", "0.7,0.3", "--t-hot", "1e-320"],
+        ["sweep", "--mode", "thot", "--t-cold", "1e-320", "--e-min", "15", "--lo", "5.5",
+         "--hi", "60", "--steps", "3", "--output", "unused.csv"],
     ],
     ids=["work-t-hot-0", "classify-t-hot-0", "feasible-t-hot-0", "multicycle-t-hot-0",
          "work-swapped-temperatures", "work-negative-gap", "work-zero-gap",
-         "work-t-cold-subnormal", "classify-t-cold-subnormal", "feasible-t-hot-subnormal"],
+         "work-t-cold-subnormal", "classify-t-cold-subnormal", "feasible-t-hot-subnormal",
+         "sweep-held-t-cold-subnormal"],
 )
 @pytest.mark.filterwarnings("error")
 def test_nonphysical_temperatures_and_gaps_are_config_errors(argv, capsys):

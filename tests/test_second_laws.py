@@ -671,15 +671,47 @@ def test_orders_with_a_below_eps_power_raise():
         max_extractable_work(inst)
 
 
+@pytest.mark.filterwarnings("error")
 def test_perfect_work_onto_an_underflowed_level_is_minus_infinity():
-    # eps = 0 and a final state on a level where the hot Gibbs state is 0: above
-    # order 1 A is 0, and the bound ln A / (beta_h (a - 1)) is -inf
+    # a final state on a level where the hot Gibbs state is 0: above order 1
+    # A is 0, and the bound ln A / (beta_h (a - 1)) is -inf, at eps = 0 as at
+    # any eps > 0
+    from nanoheat import DomainError
+
     spectrum = EnergySpectrum((0.0, 800.0))
-    inst = TransitionInstance(
-        thermal_state(spectrum, 2.0), DiagonalState((0.5, 0.5), spectrum), 1.0, 2.0, battery(0.0)
-    )
-    assert work_curve_values(inst, [2.5, 1e3]).tolist() == [-math.inf, -math.inf]
-    assert math.isfinite(w_alpha(inst, 0.3))
+    for eps in (0.0, 1e-6):
+        inst = TransitionInstance(
+            thermal_state(spectrum, 2.0), DiagonalState((0.5, 0.5), spectrum), 1.0, 2.0, battery(eps)
+        )
+        assert work_curve_values(inst, [2.5, 1e3]).tolist() == [-math.inf, -math.inf]
+        assert w_alpha(inst, Alpha.INFINITY) == -math.inf
+        assert math.isfinite(w_alpha(inst, 0.3))
+    with pytest.raises(DomainError):  # order 1 needs a full-rank hot Gibbs state
+        max_extractable_work(inst)
+
+
+# --- one ln A function, one masked pass over the orders ------------------------
+
+@pytest.mark.parametrize("copies", [1, 3])
+@pytest.mark.parametrize("bath", [(1.0,), tuple(make_rng(21).uniform(1.0, 60.0, 12))],
+                         ids=["qubit", "12-qubit"])
+def test_log_a_of_the_grid_memo_equals_the_computed_column(bath, copies):
+    inst = quasi_static_instance(QubitBath(bath).spectrum(), 0.1, 1 / 15, 1e-5, 1e-10, copies=copies)
+    column = second_laws._log_a(inst, second_laws.ALPHA_GRID.copy())
+    memo = second_laws._log_a(inst, second_laws.ALPHA_GRID)
+    assert memo.tobytes() == column.tobytes()
+
+
+def test_one_pass_over_mixed_orders_equals_the_order_by_order_calls():
+    # heating the cold bath up to the hot Gibbs state with eps = 0.9: the orders
+    # up to 0.6 impose no finite bound; 0.9, the seam orders and those above 1 do
+    inst = TransitionInstance(thermal_state(QUBIT, 3.0), thermal_state(QUBIT, 0.3), 0.3, 3.0, battery(0.9))
+    alphas = [0.01, 1.0 - 5e-7, 0.1, 0.6, 1.0 + 5e-7, 0.9, 1.5, 3.0, 1e3]
+    together = work_curve_values(inst, alphas)
+    alone = np.concatenate([work_curve_values(inst, [a]) for a in alphas])
+    assert np.isposinf(together).tolist() == [True, False, True, True] + [False] * 5
+    assert together.tobytes() == alone.tobytes()
+    assert work_curve_values(inst, []).shape == (0,)
 
 
 def test_validation_negative_paths():
