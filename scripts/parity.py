@@ -206,6 +206,15 @@ def nano_records(rec):
     edge = second_laws._bisect(lambda x: nh.tanh_indicator(x, beta_c, beta_h) < 2.0, 50.0, 70.0)
     for e in (edge, math.nextafter(edge, 0.0), math.nextafter(edge, 100.0), edge * (1 + 1e-3)):
         rec(f"edge classify({e!r})", nh.classify_regime, e, beta_c, beta_h)
+    # gaps so small that the exponents of the qubit closed forms differ below the
+    # rounding of 1
+    for e in (1e-13, 1e-14, 1e-300):
+        rec(f"small gap classify({e!r})", nh.classify_regime, e, beta_c, beta_h)
+        rec(f"small gap nu({e!r})", nh.estimate_nu, e, beta_c, beta_h)
+        rec(f"small gap infimum({e!r})", nh.infimum_location, e, beta_c, beta_h, 0.9)
+    # the dichotomy grid: 1e4 orders, across the block edges of gamma
+    grid = np.geomspace(0.9, nh.nano.DICHOTOMY_GRID_MAX, nh.nano.DICHOTOMY_GRID_POINTS)
+    rec("gamma(45.0) on the dichotomy grid", lambda: nh.gamma(45.0, beta_c, beta_h, grid).tolist())
 
     for family in (nh.EpsilonFamily.exponential(), nh.EpsilonFamily.log_linear(),
                    nh.EpsilonFamily.power(), nh.EpsilonFamily.power(2.0, 0.25),

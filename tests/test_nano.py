@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from nanoheat import (
+    DichotomyViolationError,
     EnergySpectrum,
     EpsilonFamily,
     ParameterError,
@@ -41,6 +43,7 @@ from nanoheat import nano, second_laws
 from nanoheat.second_laws import _bisect
 
 from conftest import make_rng
+import qubit_oracle
 
 BC, BH = 0.1, 1 / 15  # T = (15, 10)
 
@@ -89,6 +92,34 @@ def test_b_alpha_prime_positive():
             assert analytic == pytest.approx(fd, rel=5e-3)
 
 
+#: Gaps from 1e-300 to 1e3 and orders kept 1e-2 from order 1: the exponent
+#: differences x1 - x2 there carry full relative precision. beta_c E stays
+#: below 745, where the prefactor E / (1 + exp(beta_c E)) would underflow.
+ORACLE_GAPS = np.geomspace(1e-300, 1e3, 31).tolist()
+ORACLE_ORDERS = np.array([1e-3, 0.5, 0.99, 1.01, 2.0, 50.0, 1e3])
+ORACLE_TEMPERATURES = ((BC, BH), (0.5, 0.2))
+
+
+def test_b_alpha_matches_the_oracle_at_every_gap():
+    for bc, bh in ORACLE_TEMPERATURES:
+        for e in ORACLE_GAPS:
+            for a, value in zip(ORACLE_ORDERS, b_alpha(e, bc, bh, ORACLE_ORDERS)):
+                ref = qubit_oracle.b_alpha(e, bc, bh, a)
+                # below E ~ 1e-154 the value ~ E^2 underflows; it is then within 1e-320
+                assert abs(value - ref) <= 1e-12 * abs(ref) + 1e-320, (e, bc, bh, a)
+
+
+def test_g_function_matches_the_oracle_at_every_gap():
+    for bc, bh in ORACLE_TEMPERATURES:
+        for e in ORACLE_GAPS:
+            for a, value in zip(ORACLE_ORDERS, g_function(e, bc, bh, ORACLE_ORDERS)):
+                ref, scale = qubit_oracle.g_function(e, bc, bh, a)
+                if not math.isfinite(float(ref)):
+                    assert value == float(ref), (e, bc, bh, a)  # beyond the float range
+                else:
+                    assert abs(value - ref) <= 1e-12 * scale, (e, bc, bh, a)
+
+
 # --- gamma -------------------------------------------------------------------
 
 def test_gamma_frozen_endpoints():
@@ -121,6 +152,56 @@ def test_gamma_positive_on_profile():
 def test_gamma_smooth_through_order_one():
     vals = gamma(15.0, BC, BH, np.array([1.0 - 1e-6, 1.0, 1.0 + 1e-6]))
     assert np.max(np.abs(vals - vals[1])) < 1e-5 * vals[1]
+
+
+@pytest.mark.filterwarnings("error")
+def test_blocked_gamma_equals_the_order_by_order_calls():
+    # infinite, exactly 1, seam and ordinary orders, spread over three blocks
+    alphas = np.geomspace(1e-3, 1e3, 2 * nano.GAMMA_BLOCK + 7)
+    alphas[[0, nano.GAMMA_BLOCK - 1, nano.GAMMA_BLOCK, -1]] = [math.inf, 1.0, 1.0 - 5e-8, math.inf]
+    alphas[[5, -3]] = [1.0 + 5e-8, 1.0]
+    for e in (15.0, 45.0):
+        together = gamma(e, BC, BH, alphas)
+        alone = np.array([gamma(e, BC, BH, float(a)) for a in alphas])
+        assert together.tobytes() == alone.tobytes()
+        assert together[0] == gamma_infinity(e, BC, BH) and together[-3] == gamma_one(e, BC, BH)
+
+
+def test_dichotomy_check_keeps_its_memory_small():
+    grid = np.geomspace(0.9, nano.DICHOTOMY_GRID_MAX, nano.DICHOTOMY_GRID_POINTS)
+    for call in (lambda: infimum_location(45.0, BC, BH, 0.9), lambda: gamma(45.0, BC, BH, grid)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024  # one pass over all 1e4 orders needs about 1 MB
+
+
+@pytest.mark.parametrize("where", ["last of a block", "first of the next", "last interior"])
+def test_a_dip_at_a_block_edge_raises_as_in_one_pass(monkeypatch, where):
+    n = nano.DICHOTOMY_GRID_POINTS
+    i = {"last of a block": nano.GAMMA_BLOCK - 1, "first of the next": nano.GAMMA_BLOCK,
+         "last interior": n - 2}[where]
+    grid = np.geomspace(0.9, nano.DICHOTOMY_GRID_MAX, n)
+    real = nano.gamma
+
+    def dipped(e_gap, beta_c, beta_h, alpha):
+        # at E = 45 the infimum is at infinity: dip one interior order below it
+        out = real(e_gap, beta_c, beta_h, alpha)
+        return np.where(np.asarray(alpha) == grid[i], 0.999 * gamma_infinity(e_gap, beta_c, beta_h), out)
+
+    monkeypatch.setattr(nano, "gamma", dipped)
+    raised = []
+    for block in (nano.GAMMA_BLOCK, n):  # blocked, then one-shot
+        monkeypatch.setattr(nano, "GAMMA_BLOCK", block)
+        with pytest.raises(DichotomyViolationError) as info:
+            infimum_location(45.0, BC, BH, 0.9)
+        raised.append((info.value.alpha, info.value.gap))
+    assert raised[0] == raised[1]
+    g_inf = gamma_infinity(45.0, BC, BH)
+    assert raised[0] == (grid[i], g_inf - 0.999 * g_inf)
 
 
 # --- omega and classification ------------------------------------------------
@@ -174,6 +255,16 @@ def test_classify_at_indicator_two():
     cls = classify_regime(e, BC, BH)
     assert cls.g_case == CASE_EQ2
     assert cls.g_sign_changes == ()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("e", [1e-13, 1e-14, 1e-300])
+def test_classify_small_gap_has_no_sign_change(e):
+    # g(a) -> (a - 1)^2 >= 0 as E -> 0: no root anywhere, and Carnot is attainable
+    cls = classify_regime(e, BC, BH)
+    assert cls.g_case == CASE_LT2
+    assert cls.g_sign_changes == ()
+    assert cls.carnot_achievable and cls.eta_quasistatic == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_g_function_order_one_is_zero_without_warning():
