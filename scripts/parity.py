@@ -174,6 +174,25 @@ def solver_records(rec):
             rec(f"{key} same states solve", nh.max_extractable_work, again)
             rebuilt = nh.quasi_static_instance(nh.EnergySpectrum(spectrum.levels), 0.1, 1.0 / 15.0, 1e-5, 1e-10)
             wide_records(rec, f"{key} rebuilt", rebuilt)
+    kernel_edge_records(rec)
+
+
+def kernel_edge_records(rec):
+    """1500 random levels up to 2000 (a partial last block of 21 rows): many
+    lanes of the power sums fall below exp's underflow cut or into its
+    subnormal range. At beta_h = 1 the hot Gibbs state underflows on part of
+    the final state's support (lq = -inf), so the solve meets +inf rows and
+    the feasibility checks raise on the rank-deficient reference; at
+    beta_h = 0.3 it does not, and they run the grid."""
+    rng = np.random.default_rng(1746)
+    spectrum = nh.EnergySpectrum(tuple(rng.uniform(0.0, 2000.0, 1500)))
+    final = nh.DiagonalState(tuple(rng.dirichlet(np.ones(1500))), spectrum)
+    for beta_h in (1.0, 0.3):
+        key = f"kernel edge beta_h={beta_h!r}"
+        inst = nh.TransitionInstance(nh.thermal_state(spectrum, 2.0), final, beta_h, 2.0, battery(1e-6))
+        instance_records(rec, key, inst)
+        for a in np.geomspace(0.2, 50.0, 9).tolist():
+            rec(f"{key} w_alpha({a!r})", nh.w_alpha, inst, a)
 
 
 def wide_records(rec, key, inst):
@@ -212,6 +231,14 @@ def nano_records(rec):
         rec(f"small gap classify({e!r})", nh.classify_regime, e, beta_c, beta_h)
         rec(f"small gap nu({e!r})", nh.estimate_nu, e, beta_c, beta_h)
         rec(f"small gap infimum({e!r})", nh.infimum_location, e, beta_c, beta_h, 0.9)
+    # gaps where the prefactor E / (1 + exp(beta_c E)) of b_alpha is subnormal or 0
+    probe = np.array([1e-3, 0.5, 0.9, 1.0 + 5e-8, 2.0, 1e3, math.inf])
+    for e in (709.0, 760.0, 800.0, 1000.0):
+        rec(f"large gap b_alpha({e!r})", lambda: nh.nano.b_alpha(e, 1.0, 0.05, probe).tolist())
+        rec(f"large gap gamma({e!r})", lambda: nh.gamma(e, 1.0, 0.05, probe).tolist())
+        rec(f"large gap classify({e!r})", nh.classify_regime, e, 1.0, 0.05)
+        rec(f"large gap nu({e!r})", nh.estimate_nu, e, 1.0, 0.05)
+        rec(f"large gap infimum({e!r})", nh.infimum_location, e, 1.0, 0.05, 0.9)
     # the dichotomy grid: 1e4 orders, across the block edges of gamma
     grid = np.geomspace(0.9, nh.nano.DICHOTOMY_GRID_MAX, nh.nano.DICHOTOMY_GRID_POINTS)
     rec("gamma(45.0) on the dichotomy grid", lambda: nh.gamma(45.0, beta_c, beta_h, grid).tolist())

@@ -9,6 +9,7 @@ predicted vs numerically solved quasi-static work and efficiency.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -172,7 +173,9 @@ def b_alpha(e_gap: float, beta_c: float, beta_h: float, alpha) -> np.ndarray | f
     Closed form for a single qubit with levels {0, E}, evaluated with max-term
     subtraction so orders up to 1e6 stay in range, and with the difference of
     its two exponentials from expm1, so gaps down to 1e-300 keep their digits.
-    Zero exactly at alpha = 1, negative below, positive above.
+    Where the prefactor E / (1 + exp(beta_c E)) is not a normal double, its
+    log goes into the exponent, so large gaps keep theirs too. Zero exactly
+    at alpha = 1, negative below, positive above.
     """
     a = np.asarray(alpha, dtype=float)
     out = _b_alpha(e_gap, beta_c, beta_h, np.atleast_1d(a), gamma_infinity(e_gap, beta_c, beta_h))
@@ -191,7 +194,14 @@ def _b_alpha(e_gap: float, beta_c: float, beta_h: float, a: np.ndarray, pre: flo
     m = np.maximum(x1, x2)
     d = x1 - x2
     num = np.sign(d) * -np.expm1(-np.abs(d))  # exp(x1 - m) - exp(x2 - m) without cancellation
-    out = pre * num / (np.exp(_x3(e_gap, beta_c, beta_h, a_fin) - m) + np.exp(x1 - m))
+    x3m, x1m = _x3(e_gap, beta_c, beta_h, a_fin) - m, x1 - m
+    # the denominator exp(x3m) + exp(x1m) is at least exp(-(beta_c - beta_h) E),
+    # so under the second bound it cannot underflow
+    if pre >= sys.float_info.min and (beta_c - beta_h) * e_gap < 745.0:
+        out = pre * num / (np.exp(x3m) + np.exp(x1m))
+    else:  # pre is subnormal or 0 (beta_c E above ~708), or E is huge: carry ln pre in the exponent
+        ln_pre = math.log(e_gap) - float(np.logaddexp(0.0, beta_c * e_gap))
+        out = num * np.exp(ln_pre - np.logaddexp(x3m, x1m))
     out[inf_mask] = pre  # the large-order limit of num/den is 1
     return out
 

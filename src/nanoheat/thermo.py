@@ -38,8 +38,13 @@ MAX_COMPOSITE_LEVELS = 2 ** 22
 NORMALIZATION_TOL = 1e-12
 
 #: Most terms SupportLogs.log_power_sum evaluates at once for a column of
-#: orders (256 KiB of doubles per temporary).
+#: orders (256 KiB of doubles per buffer).
 BLOCK_ELEMENTS = 2 ** 15
+
+#: np.exp gives exactly +0.0 below this (exp(-745.14) is already 0.0,
+#: exp(-745.13) the smallest subnormal), through a slow path that costs
+#: about 20 times a normal result; the column power sums skip those lanes.
+EXP_CUT = -746.0
 
 #: The standard sampling grid of Renyi orders: 400 log-spaced points, none
 #: within ALPHA_SEAM of 1. The solver and feasibility checks read it.
@@ -333,27 +338,48 @@ class SupportLogs(NamedTuple):
         """ln sum exp(a*lp + (1-a)*lq) for one order, or per row for a column of orders.
 
         A column is evaluated in row blocks of at most BLOCK_ELEMENTS terms (a
-        shorter column is one block), so the temporaries stay cache-sized;
-        each row is reduced on its own, so the values are those of the
-        one-pass expression, bit for bit. Every block's exponents go into one
-        buffer per call, so at most two block-sized temporaries are alive at
-        once: freeing more of them block after block can make the allocator
-        return the memory to the OS and fault it back in, which on 4096
-        levels cost more than the arithmetic.
+        shorter column is one block), in buffers allocated once per call and
+        reused block after block: freeing block-sized temporaries can make the
+        allocator return the memory to the OS and fault it back in, which on
+        4096 levels cost more than the arithmetic. In a block, ``exp`` runs
+        only on the shifted exponents at or above EXP_CUT (below it, it would
+        give 0.0 through its slow underflow path), and a block holding a row
+        whose max is not finite goes through ``logsumexp``. Every lane gets
+        the value ``exp`` would give it and each row is reduced on its own,
+        so the values are those of the one-pass expression, bit for bit.
         """
         if np.ndim(a) == 0:
             return logsumexp(self._exponents(a))
         rows = max(1, min(len(a), BLOCK_ELEMENTS // self.lp.size))
-        block = np.empty((rows, self.lp.size))
+        x, term = np.empty((rows, self.lp.size)), np.empty((rows, self.lp.size))
+        keep = np.empty(x.shape, dtype=bool)
+        top = np.empty((rows, 1))
         sums = np.empty(len(a))
         for i in range(0, len(a), rows):
-            sums[i:i + rows] = logsumexp(self._exponents(a[i:i + rows], block[:len(a) - i]), axis=1)
+            r = min(rows, len(a) - i)
+            if r < rows:  # the last block is partial
+                x, term, keep, top = x[:r], term[:r], keep[:r], top[:r]
+            sums[i:i + r] = self._block_sums(a[i:i + r], x, term, keep, top)
         return sums
 
-    def _exponents(self, a, out=None):
+    def _exponents(self, a, out=None, term=None):
         x = np.multiply(a, self.lp, out=out)
-        x += (1.0 - a) * self.lq
+        x += np.multiply(1.0 - a, self.lq, out=term)
         return x
+
+    def _block_sums(self, a, x, term, keep, top):
+        """The column path's sums for the orders a (a column), computed in the
+        buffers x and term (a's rows by the support), keep (the same in bools)
+        and top (a column)."""
+        self._exponents(a, x, term)
+        np.maximum.reduce(x, axis=1, keepdims=True, out=top)
+        if not np.isfinite(top).all():
+            return logsumexp(x, axis=1)
+        x -= top
+        np.greater_equal(x, EXP_CUT, out=keep)
+        term.fill(0.0)  # what exp gives the lanes below the cut
+        np.exp(x, out=term, where=keep)
+        return np.log(np.add.reduce(term, axis=1)) + top[:, 0]
 
 
 class GibbsLogs:

@@ -52,6 +52,12 @@ def gamma(e_gap, beta_c, beta_h, a):
         return +(a * b / (a - 1))
 
 
+def gamma_infinity(e_gap, beta_c):
+    """The large-order limit of gamma, U(beta_c)."""
+    with mpmath.workdps(40):
+        return +_mean(mpmath.mpf(e_gap), mpmath.mpf(beta_c))
+
+
 def g_function(e_gap, beta_c, beta_h, a):
     """g and the magnitude a |a - 1| + |b_alpha / b_alpha'| of the two terms it subtracts."""
     with mpmath.workdps(_digits(e_gap, beta_c, beta_h, a)):

@@ -94,7 +94,7 @@ def test_b_alpha_prime_positive():
 
 #: Gaps from 1e-300 to 1e3 and orders kept 1e-2 from order 1: the exponent
 #: differences x1 - x2 there carry full relative precision. beta_c E stays
-#: below 745, where the prefactor E / (1 + exp(beta_c E)) would underflow.
+#: at or below 500; LARGE_GAPS goes beyond.
 ORACLE_GAPS = np.geomspace(1e-300, 1e3, 31).tolist()
 ORACLE_ORDERS = np.array([1e-3, 0.5, 0.99, 1.01, 2.0, 50.0, 1e3])
 ORACLE_TEMPERATURES = ((BC, BH), (0.5, 0.2))
@@ -118,6 +118,35 @@ def test_g_function_matches_the_oracle_at_every_gap():
                     assert value == float(ref), (e, bc, bh, a)  # beyond the float range
                 else:
                     assert abs(value - ref) <= 1e-12 * scale, (e, bc, bh, a)
+
+
+#: Gaps at T = (20, 1) where beta_c E passes ~708, so the prefactor
+#: E / (1 + exp(beta_c E)) of b_alpha is subnormal or 0; from ~745 on the
+#: denominator of the closed form underflows at small orders too.
+LARGE_GAPS = (700.0, 709.0, 720.0, 745.0, 760.0, 800.0, 1000.0, 1500.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_b_alpha_and_gamma_match_the_oracle_at_large_gaps():
+    for e in LARGE_GAPS:
+        b_values = b_alpha(e, 1.0, 0.05, ORACLE_ORDERS)
+        for a, b, g in zip(ORACLE_ORDERS, b_values, gamma(e, 1.0, 0.05, ORACLE_ORDERS)):
+            ref_b, ref_g = qubit_oracle.b_alpha(e, 1.0, 0.05, a), qubit_oracle.gamma(e, 1.0, 0.05, a)
+            # exponents near 1e3 carry ~1e-13 of rounding into the result
+            assert abs(b - ref_b) <= 1e-12 * abs(ref_b) + 1e-320, (e, a)
+            assert abs(g - ref_g) <= 1e-12 * abs(ref_g) + 1e-320, (e, a)
+
+
+@pytest.mark.filterwarnings("error")
+def test_large_gap_endpoint_and_nu_follow_omega():
+    # E = 800, T = (20, 1): Omega = 760, so the infimum sits at infinity; gamma
+    # stays above its limit E / (1 + e^800) (0 in doubles) down to order 1e-8,
+    # so nu lies below the bracket of estimate_nu
+    e, bc, bh = 800.0, 1.0, 0.05
+    assert omega_single(e, bc, bh) > 1.0
+    assert qubit_oracle.gamma(e, bc, bh, 1e-8) > qubit_oracle.gamma_infinity(e, bc)
+    assert infimum_location(e, bc, bh, 0.9).is_infinity
+    assert estimate_nu(e, bc, bh) == 0.0
 
 
 # --- gamma -------------------------------------------------------------------

@@ -22,7 +22,7 @@ from nanoheat import (
     thermal_state,
 )
 from nanoheat.second_laws import ALPHA_GRID_MAX, ALPHA_GRID_MIN, ALPHA_GRID_POINTS
-from nanoheat.thermo import ALPHA_SEAM, BLOCK_ELEMENTS, SupportLogs, logsumexp
+from nanoheat.thermo import ALPHA_SEAM, BLOCK_ELEMENTS, EXP_CUT, SupportLogs, logsumexp
 
 from conftest import make_rng
 
@@ -442,3 +442,86 @@ def test_blocked_power_sum_keeps_a_wide_grid_call_small():
     finally:
         tracemalloc.stop()
     assert peak < 4e6  # the one-pass grid needs about 37 MB
+
+
+# --- the masked exp of the column path -----------------------------------------
+
+#: Shifted exponents at and around the cut, in the subnormal range of exp and
+#: far below it; with lp = these, lq = 0 and order 1 they are a row's exponents.
+CUT_LANES = np.array([
+    0.0, -1.0, -708.3, -708.5, -720.0, -745.13, -745.14, -745.5,
+    math.nextafter(EXP_CUT, 0.0), EXP_CUT, math.nextafter(EXP_CUT, -math.inf),
+    -746.5, -800.0, -1e5, -math.inf,
+])
+
+
+def _cut_logs(lq_neginf):
+    # 1000 lanes: the ones above plus a spread that the orders of GRID sweep
+    # across the cut and through the subnormal range; 32 rows a block, so the
+    # last block of GRID is partial
+    rng = np.random.default_rng(14)
+    lp = np.concatenate([CUT_LANES, -np.geomspace(1e-3, 2e3, 1000 - CUT_LANES.size)])
+    lq = rng.uniform(-3.0, 0.0, lp.size) if lq_neginf else np.zeros(lp.size)
+    if lq_neginf:
+        lq[[3, 500, 999]] = -math.inf  # orders above 1 put +inf there: the row max is +inf
+    return SupportLogs(np.exp(lp), np.exp(lq), lp, lq)
+
+
+def _shifted(logs, a):
+    x = a * logs.lp + (1.0 - a) * logs.lq
+    top = x.max(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore"):  # inf - inf in the +inf rows
+        return x - top, np.isfinite(top[:, 0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lq_neginf", [False, True], ids=["finite-lq", "neginf-lq"])
+def test_masked_power_sum_keeps_the_bytes_at_the_cut(lq_neginf):
+    logs = _cut_logs(lq_neginf)
+    # order 1 only where 0 * lq is 0, i.e. where lq is finite
+    a = GRID if lq_neginf else np.concatenate([GRID, [[1.0]]])
+    shifted, finite_rows = _shifted(logs, a)
+    s = shifted[finite_rows]
+    assert len(a) % (BLOCK_ELEMENTS // logs.lp.size) != 0  # a partial last block
+    assert ((s >= EXP_CUT) & (s < -745.13)).any()  # exp gives 0.0
+    assert ((s > -745.13) & (s < -708.39)).any()  # exp gives a subnormal
+    assert ((s < EXP_CUT) & np.isfinite(s)).any() and np.isneginf(s).any()  # skipped lanes
+    if lq_neginf:
+        assert finite_rows.any() and not finite_rows.all()  # +inf rows next to finite ones
+    else:
+        assert (s == EXP_CUT).any()  # order 1 puts CUT_LANES themselves in a row
+        assert ((s >= EXP_CUT).sum(axis=1) == 1).any()  # every lane but the max underflows
+    one_pass = logsumexp(a * logs.lp + (1.0 - a) * logs.lq, axis=1)
+    assert logs.log_power_sum(a).tobytes() == one_pass.tobytes()
+
+
+def test_exp_is_zero_at_and_below_the_cut():
+    # the column path gives these lanes 0.0 without calling exp; a numpy whose
+    # exp returned anything else here would move bits, so this pins it
+    below = np.concatenate([
+        [EXP_CUT, math.nextafter(EXP_CUT, -math.inf), -math.inf],
+        EXP_CUT - np.geomspace(1e-12, 1e5, 100_001),
+    ])
+    values = np.exp(below)
+    assert not values.any() and not np.signbit(values).any()
+    assert np.exp(-745.13) > 0.0  # and the cut is not above exp's last nonzero result
+
+
+def test_column_power_sum_allocates_no_block_sized_temporaries():
+    logs = _twelve_qubit_logs()  # 4096 levels: 8 rows a block, 50 blocks
+    tracemalloc.start()
+    try:
+        logs.log_power_sum(GRID)
+        column_peak = tracemalloc.get_traced_memory()[1]
+        rows = BLOCK_ELEMENTS // logs.lp.size
+        x, term = np.empty((2, rows, logs.lp.size))
+        keep, top = np.empty(x.shape, dtype=bool), np.empty((rows, 1))
+        tracemalloc.reset_peak()
+        logs._block_sums(GRID[:rows], x, term, keep, top)
+        block_peak = tracemalloc.get_traced_memory()[1] - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert column_peak < 1e6  # the two buffers, the mask and numpy's 64 KiB iterator buffer: 0.63 MB
+    # a block of doubles is 256 KiB; what a block allocates on its own is
+    # row-sized, plus the 64 KiB buffer numpy's iterator takes for the row shift
+    assert block_peak < BLOCK_ELEMENTS * 8 / 2
