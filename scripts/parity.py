@@ -341,22 +341,35 @@ CLI_RUNS = {
 }
 
 
+def cli_run(rec, tmp, name, argv):
+    """Record one command line's exit code, stdout, stderr and CSV lines."""
+    out = pathlib.Path(tmp) / f"{name}.csv"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.run_command(argv + ["--output", str(out)])
+        except Exception as exc:  # an uncaught error is recorded, not fatal
+            code = "!" + type(exc).__name__
+    rec.write(f"cli {name} exit", code)
+    rec.write(f"cli {name} stdout", repr(stdout.getvalue().replace(str(out), "OUT")))
+    rec.write(f"cli {name} stderr", repr(stderr.getvalue()))
+    lines = out.read_bytes().split(b"\n") if out.exists() else [b"<no file>"]
+    for i, line in enumerate(lines):
+        rec.write(f"cli {name} csv[{i}]", repr(line))
+
+
 def cli_records(rec):
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in CLI_RUNS.items():
-            out = pathlib.Path(tmp) / f"{name}.csv"
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                try:
-                    code = cli.run_command(argv + ["--output", str(out)])
-                except Exception as exc:  # an uncaught error is recorded, not fatal
-                    code = "!" + type(exc).__name__
-            rec.write(f"cli {name} exit", code)
-            rec.write(f"cli {name} stdout", repr(stdout.getvalue().replace(str(out), "OUT")))
-            rec.write(f"cli {name} stderr", repr(stderr.getvalue()))
-            lines = out.read_bytes().split(b"\n") if out.exists() else [b"<no file>"]
-            for i, line in enumerate(lines):
-                rec.write(f"cli {name} csv[{i}]", repr(line))
+            cli_run(rec, tmp, name, argv)
+        # a --config sweep, then the same sweep by flags alone in the same
+        # process: the second gets the defaults, not the config's g and family
+        config = pathlib.Path(tmp) / "sweep.cfg"
+        config.write_text("g = 1e-3\nfamily = log_linear\nkappa-bar = 0.3\nsteps = 4\n", encoding="utf-8")
+        sweep = ["sweep", "--mode", "energy", "--t-hot", "15", "--t-cold", "10",
+                 "--lo", "1", "--hi", "60", "--steps", "7"]
+        cli_run(rec, tmp, "sequence config", ["--config", str(config)] + sweep)
+        cli_run(rec, tmp, "sequence flags", sweep)
 
 
 def help_records(rec):

@@ -12,6 +12,7 @@ failure while writing results.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -311,7 +312,10 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> tuple[_ArgumentParser, dict]:
+@functools.cache
+def _build_parser() -> tuple[_ArgumentParser, dict, _ArgumentParser]:
+    """The parser, its subcommand parsers and the pre-scan for --config; built
+    once per process, and never changed after (parsing only reads them)."""
     parser = _ArgumentParser(prog="nanoheat", description=__doc__)
     parser.add_argument("--config", help="flat key=value file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -320,7 +324,9 @@ def _build_parser() -> tuple[_ArgumentParser, dict]:
         for flag in flags:
             p.add_argument("--" + flag, **_OPTIONS[flag])
         p.set_defaults(func=func)
-    return parser, sub.choices
+    pre = _ArgumentParser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    return parser, sub.choices, pre
 
 
 def _load_config(path: str) -> dict:
@@ -343,26 +349,28 @@ def _load_config(path: str) -> dict:
 
 def run_command(argv) -> int:
     """Dispatch one command line; returns the process exit code."""
-    parser, subparsers = _build_parser()
+    parser, subparsers, pre = _build_parser()
     try:
         # --config is taken out first, in either form and before or after the
         # subcommand; each subcommand checks the keys its _COMMANDS entry lists
-        # as --key=value flags (the = keeps values like -1,0), then takes them
-        # as defaults
-        pre = _ArgumentParser(add_help=False, allow_abbrev=False)
-        pre.add_argument("--config")
+        # as --key=value flags (the = keeps values like -1,0), and the chosen
+        # one gets its flags right after its name, where later flags override them
         found, argv = pre.parse_known_args(argv)
         if found.config is not None:
             config = _load_config(found.config)
-            known = set()
+            known, tokens = set(), {}
             for name, sub in subparsers.items():
                 keys = [k for k in config if k.replace("_", "-") in _COMMANDS[name][2]]
-                typed = sub.parse_args([f"--{k.replace('_', '-')}={config[k]}" for k in keys])
-                sub.set_defaults(**{k: getattr(typed, k) for k in keys})
+                tokens[name] = [f"--{k.replace('_', '-')}={config[k]}" for k in keys]
+                sub.parse_args(tokens[name])
                 known.update(keys)
             unknown = set(config) - known
             if unknown:
                 raise _CliError(f"unknown config keys: {sorted(unknown)}")
+            # before the subcommand only --help can come, so its name is the first one found
+            i = next((i for i, arg in enumerate(argv) if arg in tokens), None)
+            if i is not None:
+                argv = argv[:i + 1] + tokens[argv[i]] + argv[i + 1:]
         args = parser.parse_args(argv)
         return args.func(args)
     except (_CliError, ParameterError, DomainError, CapacityError) as exc:

@@ -182,19 +182,24 @@ def b_alpha(e_gap: float, beta_c: float, beta_h: float, alpha) -> np.ndarray | f
     return float(out[0]) if a.ndim == 0 else out
 
 
+def _b_terms(e_gap: float, beta_c: float, beta_h: float, a):
+    """(num, x3m, x1m) at the finite orders a: b_alpha = gamma_infinity * num /
+    (exp(x3m) + exp(x1m)), each exponent shifted by the largest one."""
+    x1 = _x1(e_gap, beta_c, beta_h, a)
+    x2 = _x2(e_gap, beta_c, beta_h, a)
+    # x3 <= x1 at every order >= 0, rounding included, so the largest exponent is max(x1, x2)
+    m = np.maximum(x1, x2)
+    d = x1 - x2
+    num = np.sign(d) * -np.expm1(-np.abs(d))  # exp(x1 - m) - exp(x2 - m) without cancellation
+    return num, _x3(e_gap, beta_c, beta_h, a) - m, x1 - m
+
+
 def _b_alpha(e_gap: float, beta_c: float, beta_h: float, a: np.ndarray, pre: float) -> np.ndarray:
     """b_alpha at the orders a, given its large-order limit pre = gamma_infinity."""
     if np.any(a < 0):
         raise ParameterError("order must be nonnegative")
     inf_mask = np.isinf(a)
-    a_fin = np.where(inf_mask, 1.0, a)
-    x1 = _x1(e_gap, beta_c, beta_h, a_fin)
-    x2 = _x2(e_gap, beta_c, beta_h, a_fin)
-    # x3 <= x1 at every order >= 0, rounding included, so the largest exponent is max(x1, x2)
-    m = np.maximum(x1, x2)
-    d = x1 - x2
-    num = np.sign(d) * -np.expm1(-np.abs(d))  # exp(x1 - m) - exp(x2 - m) without cancellation
-    x3m, x1m = _x3(e_gap, beta_c, beta_h, a_fin) - m, x1 - m
+    num, x3m, x1m = _b_terms(e_gap, beta_c, beta_h, np.where(inf_mask, 1.0, a))
     # the denominator exp(x3m) + exp(x1m) is at least exp(-(beta_c - beta_h) E),
     # so under the second bound it cannot underflow
     if pre >= sys.float_info.min and (beta_c - beta_h) * e_gap < 745.0:
@@ -507,6 +512,13 @@ def infimum_location(e_gap: float, beta_c: float, beta_h: float, kappa_bar: floa
             alpha=float(grid[i]),
             gap=endpoint_min - interior,
         )
+    if g_k == g_inf == 0.0:
+        # both underflowed (as at E = 900, T = (20, 1)): compare their logs less
+        # ln gamma_infinity, from gamma = gamma_infinity kappa num / ((kappa - 1) den)
+        # with den = exp(x3m) + exp(x1m)
+        num, x3m, x1m = _b_terms(e_gap, beta_c, beta_h, kappa_bar)
+        ratio = kappa_bar * float(num) / (kappa_bar - 1.0)
+        g_k, g_inf = (math.log(ratio) if ratio > 0.0 else -math.inf), float(np.logaddexp(x3m, x1m))
     return Alpha.of(kappa_bar) if g_k <= g_inf else Alpha.INFINITY
 
 

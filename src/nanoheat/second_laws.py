@@ -29,6 +29,7 @@ from .thermo import (
     DiagonalState,
     EnergySpectrum,
     GibbsLogs,
+    SupportLogs,
     _check_pair,
     _gibbs_probs,
     binary_entropy,
@@ -101,8 +102,10 @@ class TransitionInstance:
     states' memos at beta_h (``DiagonalState.gibbs_logs``), sharing one q. The
     instance keeps that pair for every work formula and the grid power sums of
     a solve, even after the states' slots move to another beta; a check of the
-    states at beta_h finds it while they do not. The records never raise; the
-    order-1 terms raise DomainError if q underflows anywhere.
+    states at beta_h finds it while they do not. It also keeps the two records
+    stacked (``SupportLogs.stack``), so that the power sums of both at the
+    orders off the grid take one pass. The records never raise; the order-1
+    terms raise DomainError if q underflows anywhere.
     """
 
     cold_initial: DiagonalState
@@ -130,6 +133,12 @@ class TransitionInstance:
     @cached_property
     def _gibbs_logs(self) -> Tuple[GibbsLogs, GibbsLogs]:
         return _gibbs_pair(self.cold_initial, self.cold_final, self.beta_h)
+
+    @cached_property
+    def _stacked_logs(self) -> "SupportLogs | None":
+        """(p||q) and (p'||q) stacked; None if a rank-deficient final state's
+        support is smaller than the initial one's."""
+        return SupportLogs.stack([h.logs for h in self._gibbs_logs])
 
     @property
     def _dinf_drop(self) -> float:
@@ -193,12 +202,17 @@ def _gibbs_pair(rho0: DiagonalState, rho1: DiagonalState, beta_h: float) -> Tupl
 
 def _log_a(inst: TransitionInstance, alphas: np.ndarray) -> np.ndarray:
     """ln A = copies * [ln sum p^a q^(1-a) - ln sum p'^a q^(1-a)]; handed
-    ALPHA_GRID itself, it reads the power sums the cold states memoize."""
+    ALPHA_GRID itself, it reads the power sums the cold states memoize, and
+    other orders take one pass over both states when their supports have
+    equal size."""
     initial, final = inst._gibbs_logs
     if alphas is ALPHA_GRID:
         return inst.copies * (initial.grid_sums - final.grid_sums)
     a = np.atleast_1d(np.asarray(alphas, dtype=float))[:, None]
-    return inst.copies * (initial.logs.log_power_sum(a) - final.logs.log_power_sum(a))
+    if inst._stacked_logs is None:
+        return inst.copies * (initial.logs.log_power_sum(a) - final.logs.log_power_sum(a))
+    first, second = inst._stacked_logs.log_power_sum(a)
+    return inst.copies * (first - second)
 
 
 def _w_one(inst: TransitionInstance) -> float:
@@ -238,12 +252,12 @@ def work_curve_values(inst: TransitionInstance, alphas) -> np.ndarray:
     within ALPHA_SEAM of 1 take W_1 plus its first-order term.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
-    if np.any(alphas <= 0) or np.any(~np.isfinite(alphas)):
+    if not ((alphas > 0.0) & (alphas < math.inf)).all():
         raise ParameterError("grid orders must be finite and positive")
     eps = inst.battery.eps
     out = np.full(alphas.shape, math.inf)
     seam = np.abs(alphas - 1.0) <= ALPHA_SEAM
-    if np.any(seam):
+    if seam.any():
         w1 = _w_one(inst)
         slope = _w_one_slope(inst)
         out[seam] = w1 + (alphas[seam] - 1.0) * slope
@@ -254,16 +268,17 @@ def work_curve_values(inst: TransitionInstance, alphas) -> np.ndarray:
     # np.where discards free of nan at eps = A = 0
     gap = np.where(ln_a > -math.inf, alphas * ln_eps - np.maximum(ln_a, -_BIG), -math.inf)
     ok = ~seam & (gap < 0)
-    if np.any(~(seam | ok) & (alphas >= 1.0)):
+    if (~(seam | ok) & (alphas >= 1.0)).any():
         raise ConstraintViolationError(
             "A - eps^alpha <= 0 at an order >= 1; not a valid engine instance"
         )
-    out[ok] = (
-        ln_a[ok]
-        + np.log1p(-np.exp(gap[ok]))
-        - alphas[ok] * math.log1p(-eps)
-    ) / (inst.beta_h * (alphas[ok] - 1.0))
-    return out
+    # (ln A + ln(1 - eps^a / A) - a ln(1 - eps)) / (beta_h (a - 1)) on the
+    # bounded lanes, in place in gap; the others keep out's +inf
+    v = np.exp(gap, out=gap, where=ok)
+    np.log1p(np.negative(v, out=v, where=ok), out=v, where=ok)
+    np.add(ln_a, v, out=v, where=ok)
+    np.subtract(v, alphas * math.log1p(-eps), out=v, where=ok)
+    return np.divide(v, inst.beta_h * (alphas - 1.0), out=out, where=ok)
 
 
 def w_alpha(inst: TransitionInstance, alpha) -> float:
@@ -294,16 +309,19 @@ def w_alpha(inst: TransitionInstance, alpha) -> float:
 def _probe_tree(a: float, b: float, x1: float, x2: float, steps: int) -> list:
     """The points the next ``steps`` golden-section steps could probe from the
     bracket (a, b) with inner points x1 < x2, before the first of them knows
-    which side it keeps: the f1 <= f2 branch, then the other, each followed by
-    its own subtree. The arithmetic is that of the loop in ``_golden_section``."""
-    if steps <= 0 or not b - a > REFINE_WIDTH:
-        return []
-    lx1 = x2 - _GOLDEN * (x2 - a)
-    rx2 = x1 + _GOLDEN * (b - x1)
-    return (
-        [lx1] + _probe_tree(a, x2, lx1, x1, steps - 1)
-        + [rx2] + _probe_tree(x1, b, x2, rx2, steps - 1)
-    )
+    which side it keeps, level by level: from each bracket still wider than
+    REFINE_WIDTH, the point of the f1 <= f2 branch and that of the other.
+    The arithmetic is that of the loop in ``_golden_section``."""
+    points, level = [], [(a, b, x1, x2)]
+    for _ in range(steps):
+        brackets, level = level, []
+        for a, b, x1, x2 in brackets:
+            if b - a > REFINE_WIDTH:
+                lx1 = x2 - _GOLDEN * (x2 - a)
+                rx2 = x1 + _GOLDEN * (b - x1)
+                points += (lx1, rx2)
+                level += ((a, x2, lx1, x1), (x1, b, x2, rx2))
+    return points
 
 
 def _speculation_depth(levels: int) -> int:
@@ -458,8 +476,8 @@ def max_extractable_work(inst: TransitionInstance, alpha_min: float = ALPHA_GRID
     hi = alphas[min(i + 1, len(alphas) - 1)]
 
     def f_many(us):
-        ws = work_curve_values(inst, [math.exp(u) for u in us]).tolist()
-        return [w if math.isfinite(w) else _BIG for w in ws]
+        ws = work_curve_values(inst, [math.exp(u) for u in us])
+        return np.where(np.isfinite(ws), ws, _BIG).tolist()
 
     u_star, w_star, width = _golden_section(
         f_many, math.log(lo), math.log(hi), _speculation_depth(inst.spectrum.size)

@@ -334,32 +334,43 @@ class SupportLogs(NamedTuple):
         """ln max_i p_i / q_i."""
         return float(np.max(self.lp - self.lq))
 
-    def log_power_sum(self, a):
-        """ln sum exp(a*lp + (1-a)*lq) for one order, or per row for a column of orders.
+    @classmethod
+    def stack(cls, records) -> "SupportLogs | None":
+        """The records as one stacked record, or None if their supports differ
+        in size: each field holds one row per record, shaped (k, 1, m), and
+        ``log_power_sum`` of a column gives the sums of every record at once."""
+        same_size = len({r.lp.size for r in records}) == 1
+        return cls(*(np.stack(field)[:, None] for field in zip(*records))) if same_size else None
 
-        A column is evaluated in row blocks of at most BLOCK_ELEMENTS terms (a
-        shorter column is one block), in buffers allocated once per call and
-        reused block after block: freeing block-sized temporaries can make the
-        allocator return the memory to the OS and fault it back in, which on
-        4096 levels cost more than the arithmetic. In a block, ``exp`` runs
-        only on the shifted exponents at or above EXP_CUT (below it, it would
-        give 0.0 through its slow underflow path), and a block holding a row
-        whose max is not finite goes through ``logsumexp``. Every lane gets
-        the value ``exp`` would give it and each row is reduced on its own,
-        so the values are those of the one-pass expression, bit for bit.
+    def log_power_sum(self, a):
+        """ln sum exp(a*lp + (1-a)*lq) for one order, or per row for a column of
+        orders; a stacked record (``stack``) gives one row of sums per record.
+
+        A column is evaluated in row blocks of at most BLOCK_ELEMENTS terms,
+        counting every record of a stack (a shorter column is one block), in
+        buffers allocated once per call and reused block after block: freeing
+        block-sized temporaries can make the allocator return the memory to the
+        OS and fault it back in, which on 4096 levels cost more than the
+        arithmetic. In a block, ``exp`` runs only on the shifted exponents at
+        or above EXP_CUT (below it, it would give 0.0 through its slow
+        underflow path), and a block holding a row whose max is not finite goes
+        through ``logsumexp``. Every lane gets the value ``exp`` would give it
+        and each row (one order, one record) is reduced on its own over the
+        last axis, so the values are those of the one-pass expression of each
+        record, bit for bit.
         """
         if np.ndim(a) == 0:
             return logsumexp(self._exponents(a))
         rows = max(1, min(len(a), BLOCK_ELEMENTS // self.lp.size))
-        x, term = np.empty((rows, self.lp.size)), np.empty((rows, self.lp.size))
-        keep = np.empty(x.shape, dtype=bool)
-        top = np.empty((rows, 1))
-        sums = np.empty(len(a))
+        shape = self.lp.shape[:-2] + (rows, self.lp.shape[-1])
+        x, term, keep = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+        top = np.empty(shape[:-1] + (1,))
+        sums = np.empty(shape[:-2] + (len(a),))
         for i in range(0, len(a), rows):
             r = min(rows, len(a) - i)
             if r < rows:  # the last block is partial
-                x, term, keep, top = x[:r], term[:r], keep[:r], top[:r]
-            sums[i:i + r] = self._block_sums(a[i:i + r], x, term, keep, top)
+                x, term, keep, top = (buf[..., :r, :] for buf in (x, term, keep, top))
+            sums[..., i:i + r] = self._block_sums(a[i:i + r], x, term, keep, top)
         return sums
 
     def _exponents(self, a, out=None, term=None):
@@ -369,17 +380,18 @@ class SupportLogs(NamedTuple):
 
     def _block_sums(self, a, x, term, keep, top):
         """The column path's sums for the orders a (a column), computed in the
-        buffers x and term (a's rows by the support), keep (the same in bools)
-        and top (a column)."""
+        buffers x and term (a's rows by the support, after the stack axis of a
+        stacked record), keep (the same in bools) and top (x's shape with one
+        lane); one sum per row, reduced over the last axis."""
         self._exponents(a, x, term)
-        np.maximum.reduce(x, axis=1, keepdims=True, out=top)
+        np.maximum.reduce(x, axis=-1, keepdims=True, out=top)
         if not np.isfinite(top).all():
-            return logsumexp(x, axis=1)
+            return logsumexp(x, axis=-1)
         x -= top
         np.greater_equal(x, EXP_CUT, out=keep)
         term.fill(0.0)  # what exp gives the lanes below the cut
         np.exp(x, out=term, where=keep)
-        return np.log(np.add.reduce(term, axis=1)) + top[:, 0]
+        return np.log(np.add.reduce(term, axis=-1)) + top[..., 0]
 
 
 class GibbsLogs:

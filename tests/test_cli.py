@@ -360,3 +360,63 @@ def test_installed_entry_point_subprocess(tmp_path):
     assert proc.returncode == 0
     assert "omega=1.48351958605" in proc.stdout
     assert out.exists()
+
+
+# --- one parser per process -----------------------------------------------------
+
+def test_a_config_run_leaves_no_defaults_behind(tmp_path):
+    plain = ["sweep", "--mode", "energy", "--t-hot", "15", "--t-cold", "10",
+             "--lo", "1", "--hi", "60", "--steps", "5"]
+    conf = tmp_path / "run.conf"
+    conf.write_text("g = 1e-3\nfamily = log_linear\nsteps = 4\ne = 3\n", encoding="utf-8")
+    assert run_command(plain + ["--output", str(tmp_path / "before.csv")]) == 0
+    assert run_command(["--config", str(conf)] + plain + ["--output", str(tmp_path / "conf.csv")]) == 0
+    assert run_command(plain + ["--output", str(tmp_path / "after.csv")]) == 0
+    _, rows = rows_of(tmp_path / "conf.csv")
+    assert len(rows) == 5 and {row[6] for row in rows} == {"0.001"}  # the flag beats the file's steps
+    assert read(tmp_path / "after.csv") == read(tmp_path / "before.csv")
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("bogus = 1\n", "unknown config keys: ['bogus']"),
+        ("kappa-bar = abc\n", "argument --kappa-bar: invalid float value: 'abc'"),
+        ("mode = bogus\n", "argument --mode: invalid choice: 'bogus' (choose from 'energy', 'tcold', 'thot')"),
+        ("t-hot = 0\n", "argument --t-hot: must be positive, got '0'"),
+        ("g = 1e-3\njunk\n", "{conf}:2: expected key=value, got 'junk\\n'"),
+    ],
+    ids=["unknown-key", "other-command-bad-float", "bad-choice", "not-positive", "no-equals"],
+)
+def test_config_errors_keep_their_messages(tmp_path, capsys, lines, message):
+    conf = tmp_path / "run.conf"
+    conf.write_text(lines, encoding="utf-8")
+    assert run_command(["classify", "--config", str(conf), "--e", "45", "--t-hot", "15",
+                        "--t-cold", "10"]) == 1
+    assert capsys.readouterr().err == f"config error: {message.format(conf=conf)}\n"
+    assert run_command(["classify", "--config", str(tmp_path / "missing.conf")]) == 1
+    assert capsys.readouterr().err.startswith("config error: cannot read config file: ")
+
+
+def test_run_command_builds_its_parsers_once(monkeypatch, capsys):
+    from nanoheat import cli
+
+    built = []
+    init = cli._ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    try:
+        classify = ["classify", "--e", "45", "--t-hot", "15", "--t-cold", "10"]
+        assert run_command(classify) == 0
+        first = len(built)
+        for _ in range(4):
+            assert run_command(classify) == 0
+    finally:
+        cli._build_parser.cache_clear()  # later tests build parsers with the real __init__
+    assert first > 0 and len(built) == first
+    assert capsys.readouterr().out.count("omega=") == 5

@@ -149,6 +149,37 @@ def test_large_gap_endpoint_and_nu_follow_omega():
     assert estimate_nu(e, bc, bh) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("e", [900.0, 1000.0, 1500.0])
+def test_infimum_location_past_the_underflow_of_both_endpoints(e):
+    # gamma(0.9) and gamma_infinity are both 0.0 in doubles here; their ratio is
+    # not, and Omega = 0.95 E says the infimum sits at infinity
+    bc, bh = 1.0, 0.05
+    assert gamma(e, bc, bh, 0.9) == gamma_infinity(e, bc, bh) == 0.0
+    assert omega_single(e, bc, bh) > 1.0
+    assert qubit_oracle.gamma(e, bc, bh, 0.9) > qubit_oracle.gamma_infinity(e, bc)
+    assert infimum_location(e, bc, bh, 0.9).is_infinity
+
+
+@pytest.mark.filterwarnings("error")
+def test_infimum_location_at_underflowed_endpoints_follows_the_oracle():
+    # gaps past the underflow of both endpoints, at cutoffs and temperatures on
+    # either side of the infimum's switch
+    rng = make_rng(36)
+    sides = set()
+    for k in range(60):
+        e = 10 ** rng.uniform(2.9, 4.0)
+        bc = 10 ** rng.uniform(-0.1, 0.3)
+        bh = bc * (rng.uniform(0.999, 0.99999) if k % 2 else rng.uniform(0.05, 0.9))
+        kb = rng.uniform(0.05, 0.95)
+        if gamma(e, bc, bh, kb) != 0.0 or gamma_infinity(e, bc, bh) != 0.0:
+            continue
+        at_cutoff = qubit_oracle.gamma(e, bc, bh, kb) <= qubit_oracle.gamma_infinity(e, bc)
+        assert infimum_location(e, bc, bh, kb).is_infinity != at_cutoff, (e, bc, bh, kb)
+        sides.add(at_cutoff)
+    assert sides == {True, False}
+
+
 # --- gamma -------------------------------------------------------------------
 
 def test_gamma_frozen_endpoints():

@@ -277,6 +277,35 @@ def assert_replays(visits, batches, depth):
     assert depth == 1 or not gaps or gaps[0] >= depth + 1
 
 
+def recursive_probe_tree(a, b, x1, x2, steps):
+    """Reference: the probe tree as first defined, depth first."""
+    if steps <= 0 or not b - a > second_laws.REFINE_WIDTH:
+        return []
+    lx1 = x2 - second_laws._GOLDEN * (x2 - a)
+    rx2 = x1 + second_laws._GOLDEN * (b - x1)
+    return (
+        [lx1] + recursive_probe_tree(a, x2, lx1, x1, steps - 1)
+        + [rx2] + recursive_probe_tree(x1, b, x2, rx2, steps - 1)
+    )
+
+
+@pytest.mark.parametrize("steps", range(1, 8))
+def test_flat_probe_tree_holds_the_points_of_the_recursive_one(steps):
+    rng = make_rng(40 + steps)
+    for k in range(60):
+        # widths from well above REFINE_WIDTH down to where the tree is cut short
+        near = second_laws.REFINE_WIDTH * 10 ** rng.uniform(-0.5, 2.0)
+        width = near if k % 2 else 10 ** rng.uniform(-6, 1)
+        a = rng.uniform(-14.0, 14.0)
+        b = a + width
+        x1 = b - second_laws._GOLDEN * (b - a)
+        x2 = a + second_laws._GOLDEN * (b - a)
+        flat = second_laws._probe_tree(a, b, x1, x2, steps)
+        assert sorted(flat) == sorted(recursive_probe_tree(a, b, x1, x2, steps))
+    full = second_laws._probe_tree(0.0, 1.0, 1 - second_laws._GOLDEN, second_laws._GOLDEN, steps)
+    assert len(full) == 2 ** (steps + 1) - 2
+
+
 def test_speculation_depth_follows_the_spectrum_size():
     depth = second_laws._speculation_depth
     budget = second_laws.SPECULATION_BUDGET
@@ -700,6 +729,19 @@ def test_log_a_of_the_grid_memo_equals_the_computed_column(bath, copies):
     column = second_laws._log_a(inst, second_laws.ALPHA_GRID.copy())
     memo = second_laws._log_a(inst, second_laws.ALPHA_GRID)
     assert memo.tobytes() == column.tobytes()
+
+
+@pytest.mark.parametrize("rank_deficient", [False, True], ids=["full-rank", "rank-deficient"])
+def test_log_a_off_the_grid_equals_the_per_state_sums(rank_deficient):
+    spectrum = EnergySpectrum((0.0, 2.0, 7.5))
+    final = (0.3, 0.0, 0.7) if rank_deficient else (0.3, 0.2, 0.5)
+    inst = TransitionInstance(thermal_state(spectrum, 1.0), DiagonalState(final, spectrum),
+                              0.4, 1.0, battery(1e-6), copies=2)
+    assert (inst._stacked_logs is None) == rank_deficient
+    a = np.geomspace(0.2, 50.0, 63)
+    initial, final = (h.logs for h in inst._gibbs_logs)
+    per_state = 2 * (initial.log_power_sum(a[:, None]) - final.log_power_sum(a[:, None]))
+    assert second_laws._log_a(inst, a).tobytes() == per_state.tobytes()
 
 
 def test_one_pass_over_mixed_orders_equals_the_order_by_order_calls():

@@ -525,3 +525,56 @@ def test_column_power_sum_allocates_no_block_sized_temporaries():
     # a block of doubles is 256 KiB; what a block allocates on its own is
     # row-sized, plus the 64 KiB buffer numpy's iterator takes for the row shift
     assert block_peak < BLOCK_ELEMENTS * 8 / 2
+
+
+# --- stacked records --------------------------------------------------------------
+
+def _cold_pair_logs(levels, make):
+    # a cold Gibbs state and a final state against the hot Gibbs state, as a solve has them
+    spectrum = EnergySpectrum(levels)
+    q = thermal_state(spectrum, 1 / 15).array
+    return (SupportLogs.of(thermal_state(spectrum, 0.1).array, q),
+            SupportLogs.of(make(spectrum).array, q))
+
+
+def _qubit_pair():
+    return _cold_pair_logs((0.0, 15.0), lambda s: thermal_state(s, 0.1 - 1e-5)), GRID
+
+
+def _three_level_pair():
+    return _cold_pair_logs((0.0, 2.0, 7.5), lambda s: random_state(make_rng(15), s)), GRID
+
+
+def _twelve_qubit_pair():
+    # 4096 levels: 4 rows a stacked block, so 63 orders end in a partial block
+    spectrum = QubitBath(tuple(make_rng(11).uniform(1.0, 60.0, 12))).spectrum()
+    return _cold_pair_logs(spectrum.levels, lambda s: thermal_state(s, 0.099)), GRID[::6][:63]
+
+
+def _cut_pair():
+    # lanes across EXP_CUT, and -inf lq that gives the second record's rows
+    # above order 1 a +inf max; the first record's rows share their blocks
+    return (_cut_logs(False), _cut_logs(True)), GRID
+
+
+def _cut_lanes_pair():
+    # order 1 puts CUT_LANES themselves, EXP_CUT and the float below it
+    # included, in a row of each record, in opposite lane orders
+    first = _cut_logs(False)
+    return (first, SupportLogs(*(field[::-1] for field in first))), np.concatenate([GRID, [[1.0]]])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "make_pair",
+    [_qubit_pair, _three_level_pair, _twelve_qubit_pair, _cut_pair, _cut_lanes_pair],
+    ids=["qubit", "3-levels", "4096-levels-partial-block", "cut-and-inf-rows", "cut-lanes-at-order-1"],
+)
+def test_stacked_power_sums_equal_the_per_record_calls(make_pair):
+    (first, second), a = make_pair()
+    stacked = SupportLogs.stack([first, second])
+    assert stacked.lp.shape == (2, 1, first.lp.size)
+    sums = stacked.log_power_sum(a)
+    assert sums.shape == (2, len(a))
+    assert sums[0].tobytes() == first.log_power_sum(a).tobytes()
+    assert sums[1].tobytes() == second.log_power_sum(a).tobytes()
