@@ -43,9 +43,6 @@ SIGN_GRID.flags.writeable = False
 #: 0.33 (efficiency) of the band -- then frozen with ~3x headroom.
 PREDICTION_BAND_C = 0.9
 
-#: Orders nearer 1 than this use the closed-form limit of gamma.
-_GAMMA_SEAM = 1e-7
-
 #: gamma evaluates an order array in blocks of this many orders (16 KiB of
 #: doubles per temporary), so the 1e4-order dichotomy grid reuses the same
 #: small buffers instead of faulting in fresh heap pages on every call.
@@ -148,67 +145,51 @@ def _check_qubit_params(e_gap: float, beta_c: float, beta_h: float):
         raise ParameterError("need beta_c > beta_h > 0")
 
 
-# x1, x2, x3 and y: the exponents of the qubit closed forms at the orders a;
-# each closed form builds only the ones it reads.
+def _ln_k(e_gap: float, beta_c: float, beta_h: float, a):
+    """(ln K, ln b_alpha') at the orders a >= 0, where K = b_alpha / (a - 1).
 
-def _x1(e_gap: float, beta_c: float, beta_h: float, a: np.ndarray) -> np.ndarray:
-    return (beta_h + a * beta_c) * e_gap
+    With D = beta_c - beta_h, c = beta_c E / 2, z = (a - 1) D E / 2 and
+    s = c + z = beta_a E / 2, the qubit closed forms are
 
+        K = D E^2 sinhc(z) / (4 cosh c cosh s),    b_alpha' = D E^2 / (4 cosh^2 s),
 
-def _x2(e_gap: float, beta_c: float, beta_h: float, a: np.ndarray) -> np.ndarray:
-    return (beta_c + a * beta_h) * e_gap
-
-
-def _x3(e_gap: float, beta_c: float, beta_h: float, a: np.ndarray) -> np.ndarray:
-    return a * beta_h * e_gap
-
-
-def _y(e_gap: float, beta_c: float, beta_h: float, a: np.ndarray) -> np.ndarray:
-    return (beta_h + a * (beta_c + beta_h)) * e_gap
+    with sinhc(z) = sinh(z) / z and sinhc(0) = 1, so K is finite at order 1;
+    both logs are -inf at infinite orders. ln(sinh|z| / cosh s) is taken as
+    (|z| - |s|) + ln(1 - e^(-2|z|)) - ln(1 + e^(-2|s|)) with |z| - |s| =
+    min(c, -c - 2 min(z, 0)), so the terms that grow like z cancel exactly.
+    """
+    _check_qubit_params(e_gap, beta_c, beta_h)
+    if (a < 0).any():
+        raise ParameterError("order must be nonnegative")
+    c = beta_c * e_gap / 2.0
+    z = (a - 1.0) * ((beta_c - beta_h) * e_gap / 2.0)
+    s = np.abs(c + z)
+    tail = np.log1p(np.exp(-2.0 * s))
+    # 2 e^(-|z|) sinhc(z) = (1 - e^(-2|z|)) / |z|: exactly 2 for every |z| below
+    # the smallest normal double, and 0 at infinite orders
+    az = np.maximum(np.abs(z), sys.float_info.min)
+    sinhc_2 = -np.expm1(-2.0 * az) / az
+    ln_de2 = math.log(beta_c - beta_h) + 2.0 * math.log(e_gap)
+    ln_pre = ln_de2 - math.log(2.0) - c - math.log1p(math.exp(-2.0 * c))  # ln(D E^2 / (4 cosh c))
+    with np.errstate(divide="ignore"):
+        ln_k = ln_pre + np.minimum(c, -c - 2.0 * np.minimum(z, 0.0)) + np.log(sinhc_2) - tail
+    return ln_k, ln_de2 - 2.0 * (s + tail)
 
 
 def b_alpha(e_gap: float, beta_c: float, beta_h: float, alpha) -> np.ndarray | float:
     """Leading-order sensitivity of the order-alpha power sum to the quasi-static step.
 
-    Closed form for a single qubit with levels {0, E}, evaluated with max-term
-    subtraction so orders up to 1e6 stay in range, and with the difference of
-    its two exponentials from expm1, so gaps down to 1e-300 keep their digits.
-    Where the prefactor E / (1 + exp(beta_c E)) is not a normal double, its
-    log goes into the exponent, so large gaps keep theirs too. Zero exactly
-    at alpha = 1, negative below, positive above.
+    (a - 1) K(a) from the qubit kernel `_ln_k`, which keeps its digits for gaps
+    from 1e-300 up past the underflow of the result and for orders near 1; the
+    large-order limit at infinity. Zero exactly at alpha = 1, negative below,
+    positive above.
     """
-    a = np.asarray(alpha, dtype=float)
-    out = _b_alpha(e_gap, beta_c, beta_h, np.atleast_1d(a), gamma_infinity(e_gap, beta_c, beta_h))
-    return float(out[0]) if a.ndim == 0 else out
-
-
-def _b_terms(e_gap: float, beta_c: float, beta_h: float, a):
-    """(num, x3m, x1m) at the finite orders a: b_alpha = gamma_infinity * num /
-    (exp(x3m) + exp(x1m)), each exponent shifted by the largest one."""
-    x1 = _x1(e_gap, beta_c, beta_h, a)
-    x2 = _x2(e_gap, beta_c, beta_h, a)
-    # x3 <= x1 at every order >= 0, rounding included, so the largest exponent is max(x1, x2)
-    m = np.maximum(x1, x2)
-    d = x1 - x2
-    num = np.sign(d) * -np.expm1(-np.abs(d))  # exp(x1 - m) - exp(x2 - m) without cancellation
-    return num, _x3(e_gap, beta_c, beta_h, a) - m, x1 - m
-
-
-def _b_alpha(e_gap: float, beta_c: float, beta_h: float, a: np.ndarray, pre: float) -> np.ndarray:
-    """b_alpha at the orders a, given its large-order limit pre = gamma_infinity."""
-    if np.any(a < 0):
-        raise ParameterError("order must be nonnegative")
-    inf_mask = np.isinf(a)
-    num, x3m, x1m = _b_terms(e_gap, beta_c, beta_h, np.where(inf_mask, 1.0, a))
-    # the denominator exp(x3m) + exp(x1m) is at least exp(-(beta_c - beta_h) E),
-    # so under the second bound it cannot underflow
-    if pre >= sys.float_info.min and (beta_c - beta_h) * e_gap < 745.0:
-        out = pre * num / (np.exp(x3m) + np.exp(x1m))
-    else:  # pre is subnormal or 0 (beta_c E above ~708), or E is huge: carry ln pre in the exponent
-        ln_pre = math.log(e_gap) - float(np.logaddexp(0.0, beta_c * e_gap))
-        out = num * np.exp(ln_pre - np.logaddexp(x3m, x1m))
-    out[inf_mask] = pre  # the large-order limit of num/den is 1
-    return out
+    a_in = np.asarray(alpha, dtype=float)
+    a = np.atleast_1d(a_in)
+    inf = np.isinf(a)
+    out = np.full_like(a, gamma_infinity(e_gap, beta_c, beta_h))
+    np.multiply(a - 1.0, np.exp(_ln_k(e_gap, beta_c, beta_h, a)[0]), out=out, where=~inf)
+    return float(out[0]) if a_in.ndim == 0 else out
 
 
 def b_alpha_generic(e_gap: float, beta_c: float, beta_h: float, alpha: float) -> float:
@@ -226,24 +207,16 @@ def b_alpha_generic(e_gap: float, beta_c: float, beta_h: float, alpha: float) ->
 
 
 def b_alpha_prime(e_gap: float, beta_c: float, beta_h: float, alpha) -> np.ndarray | float:
-    """Derivative of b_alpha in the order; strictly positive for beta_c > beta_h."""
-    _check_qubit_params(e_gap, beta_c, beta_h)
-    a = np.atleast_1d(np.asarray(alpha, dtype=float))
-    scalar = np.asarray(alpha).ndim == 0
-    x1 = _x1(e_gap, beta_c, beta_h, a)
-    x3 = _x3(e_gap, beta_c, beta_h, a)
-    y = _y(e_gap, beta_c, beta_h, a)
-    log_den = 2.0 * np.logaddexp(x3, x1)
-    log_b = 2.0 * math.log(e_gap) + math.log(beta_c - beta_h) + y - log_den
-    out = np.exp(log_b)
-    return float(out[0]) if scalar else out
+    """Derivative of b_alpha in the order, (beta_c - beta_h) times the energy
+    variance at beta_a; strictly positive for beta_c > beta_h."""
+    a_in = np.asarray(alpha, dtype=float)
+    out = np.exp(_ln_k(e_gap, beta_c, beta_h, np.atleast_1d(a_in))[1])
+    return float(out[0]) if a_in.ndim == 0 else out
 
 
 def gamma_one(e_gap: float, beta_c: float, beta_h: float) -> float:
-    """Limit of gamma at order 1: (beta_c-beta_h) * var of the qubit energy."""
-    _check_qubit_params(e_gap, beta_c, beta_h)
-    x = beta_c * e_gap
-    return e_gap * e_gap * (beta_c - beta_h) * math.exp(x - 2.0 * np.logaddexp(0.0, x))
+    """gamma at order 1: (beta_c-beta_h) * var of the qubit energy."""
+    return gamma(e_gap, beta_c, beta_h, 1.0)
 
 
 def gamma_infinity(e_gap: float, beta_c: float, beta_h: float) -> float:
@@ -253,13 +226,11 @@ def gamma_infinity(e_gap: float, beta_c: float, beta_h: float) -> float:
 
 
 def gamma(e_gap: float, beta_c: float, beta_h: float, alpha) -> np.ndarray | float:
-    """gamma(a) = a * b_alpha / (a - 1); positive for every order > 0.
+    """gamma(a) = a K(a) = a * b_alpha / (a - 1); positive for every order > 0.
 
-    The removable singularity at order 1 is filled with its closed-form limit,
-    and infinity maps to the large-order limit. The orders are evaluated in
-    blocks of GAMMA_BLOCK, each written into one result array: the formula
-    runs over the whole block, then the infinite and seam orders are
-    overwritten (so order 1 gives its limit without a 0/0 warning).
+    K is finite at order 1, so gamma(1) comes out of the formula; infinity maps
+    to the large-order limit. The orders are evaluated in blocks of
+    GAMMA_BLOCK, each written into one result array.
     """
     a_in = np.asarray(alpha, dtype=float)
     a = a_in.reshape(-1)
@@ -267,13 +238,9 @@ def gamma(e_gap: float, beta_c: float, beta_h: float, alpha) -> np.ndarray | flo
     g_inf = gamma_infinity(e_gap, beta_c, beta_h)
     for lo in range(0, len(a), GAMMA_BLOCK):
         ab, ob = a[lo:lo + GAMMA_BLOCK], out[lo:lo + GAMMA_BLOCK]
-        b = _b_alpha(e_gap, beta_c, beta_h, ab, g_inf)
-        with np.errstate(invalid="ignore"):
-            np.divide(ab * b, ab - 1.0, out=ob)
-        ob[np.isinf(ab)] = g_inf
-        seam = np.abs(ab - 1.0) <= _GAMMA_SEAM
-        if seam.any():
-            ob[seam] = gamma_one(e_gap, beta_c, beta_h)
+        inf = np.isinf(ab)
+        np.multiply(ab, np.exp(_ln_k(e_gap, beta_c, beta_h, ab)[0]), out=ob, where=~inf)
+        ob[inf] = g_inf
     return float(out[0]) if a_in.ndim == 0 else out.reshape(a_in.shape)
 
 
@@ -339,31 +306,16 @@ def tanh_indicator(e_gap: float, beta_c: float, beta_h: float) -> float:
 
 
 def g_function(e_gap: float, beta_c: float, beta_h: float, alpha) -> np.ndarray | float:
-    """a(a-1) - b_alpha/b_alpha_prime; its sign is the sign of gamma's derivative."""
+    """a(a-1) - b_alpha/b_alpha_prime, with b_alpha = (a-1)K; its sign is the sign
+    of gamma's derivative, and it is 0 at order 1."""
     a_in = np.asarray(alpha, dtype=float)
-    scalar = a_in.ndim == 0
-    a = np.atleast_1d(a_in).astype(float)
-    x1 = _x1(e_gap, beta_c, beta_h, a)
-    x2 = _x2(e_gap, beta_c, beta_h, a)
-    x3 = _x3(e_gap, beta_c, beta_h, a)
-    y = _y(e_gap, beta_c, beta_h, a)
-    sign = np.sign(a - 1.0)
-    # num_log is ln 0 = -inf at a = 1, where the result is 0
-    with np.errstate(divide="ignore", over="ignore"):
-        num_log = np.maximum(x1, x2) + np.log(-np.expm1(-np.abs(x1 - x2)))
-        den_log = np.logaddexp(x3, x1)
-        log_ratio = (
-            -math.log(e_gap)
-            - float(np.logaddexp(0.0, beta_c * e_gap))
-            - math.log(beta_c - beta_h)
-            + num_log
-            + den_log
-            - y
-        )
-        ratio = sign * np.exp(log_ratio)
-    ratio = np.where(a == 1.0, 0.0, ratio)
-    out = a * (a - 1.0) - ratio
-    return float(out[0]) if scalar else out
+    a = np.atleast_1d(a_in)
+    ln_k, ln_b_prime = _ln_k(e_gap, beta_c, beta_h, a)
+    am1 = a - 1.0
+    # K/b_alpha' ~ e^(2z) / z passes the float range at large orders
+    with np.errstate(over="ignore"):
+        out = a * am1 - am1 * np.exp(ln_k - ln_b_prime)
+    return float(out[0]) if a_in.ndim == 0 else out
 
 
 #: Case labels for the sign pattern of the derivative of gamma.
@@ -512,14 +464,10 @@ def infimum_location(e_gap: float, beta_c: float, beta_h: float, kappa_bar: floa
             alpha=float(grid[i]),
             gap=endpoint_min - interior,
         )
-    if g_k == g_inf == 0.0:
-        # both underflowed (as at E = 900, T = (20, 1)): compare their logs less
-        # ln gamma_infinity, from gamma = gamma_infinity kappa num / ((kappa - 1) den)
-        # with den = exp(x3m) + exp(x1m)
-        num, x3m, x1m = _b_terms(e_gap, beta_c, beta_h, kappa_bar)
-        ratio = kappa_bar * float(num) / (kappa_bar - 1.0)
-        g_k, g_inf = (math.log(ratio) if ratio > 0.0 else -math.inf), float(np.logaddexp(x3m, x1m))
-    return Alpha.of(kappa_bar) if g_k <= g_inf else Alpha.INFINITY
+    # in logs, so endpoints that both underflow (as at E = 900, T = (20, 1)) still compare
+    ln_g_k = math.log(kappa_bar) + float(_ln_k(e_gap, beta_c, beta_h, np.array([kappa_bar]))[0][0])
+    ln_g_inf = math.log(e_gap) - float(np.logaddexp(0.0, beta_c * e_gap))
+    return Alpha.of(kappa_bar) if ln_g_k <= ln_g_inf else Alpha.INFINITY
 
 
 # ---------------------------------------------------------------------------

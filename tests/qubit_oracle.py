@@ -58,6 +58,11 @@ def gamma_infinity(e_gap, beta_c):
         return +_mean(mpmath.mpf(e_gap), mpmath.mpf(beta_c))
 
 
+def b_alpha_prime(e_gap, beta_c, beta_h, a):
+    with mpmath.workdps(_digits(e_gap, beta_c, beta_h, a)):
+        return +_parts(e_gap, beta_c, beta_h, a)[5]
+
+
 def g_function(e_gap, beta_c, beta_h, a):
     """g and the magnitude a |a - 1| + |b_alpha / b_alpha'| of the two terms it subtracts."""
     with mpmath.workdps(_digits(e_gap, beta_c, beta_h, a)):

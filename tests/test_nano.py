@@ -92,11 +92,26 @@ def test_b_alpha_prime_positive():
             assert analytic == pytest.approx(fd, rel=5e-3)
 
 
-#: Gaps from 1e-300 to 1e3 and orders kept 1e-2 from order 1: the exponent
-#: differences x1 - x2 there carry full relative precision. beta_c E stays
-#: at or below 500; LARGE_GAPS goes beyond.
+@pytest.mark.parametrize("reader", [b_alpha, b_alpha_prime, gamma, g_function])
+@pytest.mark.parametrize("args", [
+    (-1.0, BC, BH, 2.0),  # gap
+    (15.0, BH, BC, 2.0),  # temperatures
+    (15.0, BC, BH, -1.0),  # order
+    (15.0, BC, BH, np.array([0.5, 2.0, -1.0])),
+])
+def test_qubit_closed_forms_share_one_input_check(reader, args):
+    with pytest.raises(ParameterError):
+        reader(*args)
+
+
+#: Gaps from 1e-300 to 1e3 and orders from 1e-3 to 1e3, with five within
+#: 2e-7 of order 1, where a - 1 is exact but any difference of two exponents
+#: that each carry a rounding of their own keeps only ~1e-16 / |a - 1| of its
+#: digits. beta_c E stays at or below 500; LARGE_GAPS goes beyond.
 ORACLE_GAPS = np.geomspace(1e-300, 1e3, 31).tolist()
-ORACLE_ORDERS = np.array([1e-3, 0.5, 0.99, 1.01, 2.0, 50.0, 1e3])
+ORACLE_ORDERS = np.array(
+    [1e-3, 0.5, 0.99, 1 - 2e-7, 1 - 5e-8, 1 - 1e-9, 1 + 5e-8, 1 + 2e-7, 1.01, 2.0, 50.0, 1e3]
+)
 ORACLE_TEMPERATURES = ((BC, BH), (0.5, 0.2))
 
 
@@ -106,6 +121,15 @@ def test_b_alpha_matches_the_oracle_at_every_gap():
             for a, value in zip(ORACLE_ORDERS, b_alpha(e, bc, bh, ORACLE_ORDERS)):
                 ref = qubit_oracle.b_alpha(e, bc, bh, a)
                 # below E ~ 1e-154 the value ~ E^2 underflows; it is then within 1e-320
+                assert abs(value - ref) <= 1e-12 * abs(ref) + 1e-320, (e, bc, bh, a)
+
+
+def test_b_alpha_prime_matches_the_oracle_at_every_gap():
+    for bc, bh in ORACLE_TEMPERATURES:
+        for e in ORACLE_GAPS:
+            for a, value in zip(ORACLE_ORDERS, b_alpha_prime(e, bc, bh, ORACLE_ORDERS)):
+                ref = qubit_oracle.b_alpha_prime(e, bc, bh, a)
+                # ~E^2 as well: below E ~ 1e-154 it is within 1e-320 of 0
                 assert abs(value - ref) <= 1e-12 * abs(ref) + 1e-320, (e, bc, bh, a)
 
 
@@ -216,7 +240,7 @@ def test_gamma_smooth_through_order_one():
 
 @pytest.mark.filterwarnings("error")
 def test_blocked_gamma_equals_the_order_by_order_calls():
-    # infinite, exactly 1, seam and ordinary orders, spread over three blocks
+    # infinite, exactly 1, near-1 and ordinary orders, spread over three blocks
     alphas = np.geomspace(1e-3, 1e3, 2 * nano.GAMMA_BLOCK + 7)
     alphas[[0, nano.GAMMA_BLOCK - 1, nano.GAMMA_BLOCK, -1]] = [math.inf, 1.0, 1.0 - 5e-8, math.inf]
     alphas[[5, -3]] = [1.0 + 5e-8, 1.0]
