@@ -289,6 +289,66 @@ def macro_extension_records(rec):
         rec(f"state_moments[{i}]", nh.state_moments, state)
 
 
+def schedule_records(rec):
+    """The g-schedule readers, the engine's config checks, no_perfect_work where
+    the thermal weights underflow or w is tiny, and g_function at huge orders."""
+    beta_c, beta_h = 0.1, 1.0 / 15.0
+    g_list = (1e-2, 1e-3, 1e-4, 1e-5)
+    for family, gaps in ((nh.EpsilonFamily.power(1.0, 0.5), (15.0,)),
+                         (nh.EpsilonFamily.power(1.0, 2.0), (15.0,)),
+                         (nh.EpsilonFamily.log_linear(), (15.0,)),
+                         (nh.EpsilonFamily.power(1.0, 0.5), (45.0,) * 3)):
+        cfg = nh.QuasiStaticConfig(nh.QubitBath(gaps), beta_c, beta_h, 1e-5, family)
+        rec(f"near_perfect_ratio({family!r}, {gaps!r})", nh.near_perfect_ratio, cfg, g_list)
+    cfg = nh.QuasiStaticConfig(nh.QubitBath((15.0,)), beta_c, beta_h, 1e-5, nh.EpsilonFamily.power())
+    rec("near_perfect_ratio non-decreasing", nh.near_perfect_ratio, cfg, (1e-3, 1e-3, 1e-4))
+    mixed = nh.QuasiStaticConfig(nh.QubitBath((15.0, 45.0)), beta_c, beta_h, 1e-5, nh.EpsilonFamily.power())
+    rec("near_perfect_ratio mixed gaps", nh.near_perfect_ratio, mixed, g_list)
+    rec("near_perfect_ratio mixed gaps, empty list", nh.near_perfect_ratio, mixed, ())
+
+    for levels in ((0.0, 15.0), (0.0, 2.0, 7.0)):
+        spectrum = nh.EnergySpectrum(levels)
+        rec(f"macro_carnot_limit({levels!r}, None)", nh.macro_carnot_limit,
+            spectrum, beta_c, beta_h, g_list)
+        rec(f"macro_carnot_limit({levels!r}, g*g)", nh.macro_carnot_limit,
+            spectrum, beta_c, beta_h, g_list, lambda g: g * g)
+    qubit = nh.EnergySpectrum((0.0, 15.0))
+    rec("macro_carnot_limit non-decreasing", nh.macro_carnot_limit, qubit, beta_c, beta_h, (1e-3, 1e-2))
+    rec("macro_carnot_limit g too large", nh.macro_carnot_limit, qubit, beta_c, beta_h, (0.05,))
+
+    schedule = (100, 1_000, 10_000)
+    rec("convergence_schedule", nh.multicycle.convergence_schedule, 1.0, 15.0, beta_c, beta_h, 0.5, schedule)
+    rec("convergence_schedule non-increasing", nh.multicycle.convergence_schedule,
+        1.0, 15.0, beta_c, beta_h, 0.5, (1_000, 1_000))
+    rec("first_n_below", nh.multicycle.first_n_below, 1.0, 15.0, beta_c, beta_h, 0.5, 1e-2, schedule)
+
+    power = nh.EpsilonFamily.power()
+    for key, g, bc, bh in (("g = beta_c - beta_h", beta_c - beta_h, beta_c, beta_h),
+                           ("g > beta_c - beta_h", 0.05, beta_c, beta_h),
+                           ("beta_c = beta_h", 1e-5, beta_h, beta_h),
+                           ("beta_c < beta_h", 1e-5, beta_h, beta_c)):
+        rec(f"QuasiStaticConfig {key}", nh.QuasiStaticConfig, nh.QubitBath((15.0,)), bc, bh, g, power)
+
+    ladder = nh.EnergySpectrum(tuple(float(e) for e in range(16)))
+    for key, spectrum, j, k, b_h, w in (
+            ("ladder 0..15, start 14, beta_h = 60", ladder, 14, 15, 60.0, None),
+            ("(0, 1), w = 1e-17, beta_h = 0.5", nh.EnergySpectrum((0.0, 1.0)), 0, 1, 0.5, 1e-17),
+            ("(0, 1), w = 1e-9, beta_h = 0.5", nh.EnergySpectrum((0.0, 1.0)), 0, 1, 0.5, 1e-9),
+            ("(0, 1), w = 1, beta_h = 0.5", nh.EnergySpectrum((0.0, 1.0)), 0, 1, 0.5, None)):
+        cold = nh.thermal_state(nh.EnergySpectrum((0.0, 1.0)), 2.0 * b_h)
+        inst = nh.TransitionInstance(cold, cold, b_h, 2.0 * b_h, nh.BatterySpec(spectrum, j, k, 0.0))
+        rec(f"no_perfect_work {key}", nh.no_perfect_work, inst, w)
+
+    for e in (1.0, 15.0):
+        for a in (1e154, 1.4e154, 1e300, math.inf):
+            rec(f"g_function({e!r}, {a!r})", nh.nano.g_function, e, beta_c, beta_h, a)
+    # a(a - 1) and (a - 1) K/b_alpha' both overflow, but a is the larger factor
+    rec("g_function(1e-196, 1e200)", nh.nano.g_function, 1e-196, beta_c, beta_h, 1e200)
+    for orders in ([math.nan, math.inf, 2.0, 1.0], []):
+        rec(f"g_function(15.0, {orders!r})", lambda: nh.nano.g_function(
+            15.0, beta_c, beta_h, np.array(orders)).tolist())
+
+
 CLI_RUNS = {
     "sweep-energy": ["sweep", "--mode", "energy", "--t-hot", "15", "--t-cold", "10",
                      "--lo", "1", "--hi", "60", "--steps", "120"],
@@ -397,6 +457,7 @@ def main(argv):
         solver_records(rec)
         nano_records(rec)
         macro_extension_records(rec)
+        schedule_records(rec)
         cli_records(rec)
         help_records(rec)
     print(f"{rec.count} records -> {argv[0]}")

@@ -25,7 +25,6 @@ from .errors import (
     NanoheatError,
     ParameterError,
 )
-from .macro import quasi_static_instance
 from .thermo import DiagonalState, EnergySpectrum
 
 SWEEP_HEADER = (
@@ -139,8 +138,7 @@ def _sweep_point(e_gap, t_hot, t_cold, g, family):
     eta_nano = nano.quasistatic_efficiency(beta_c, beta_h, max(1.0, om))
     eta_carnot = nano.carnot_efficiency(beta_c, beta_h)
     eps = family.eval(g)
-    inst = quasi_static_instance(EnergySpectrum((0.0, e_gap)), beta_c, beta_h, g, eps)
-    w_ext = second_laws.max_extractable_work(inst).w_ext
+    w_ext = nano._qubit_step(e_gap, beta_c, beta_h, g, eps, 1)[1].w_ext
     label = nano.case_label(nano.tanh_indicator(e_gap, beta_c, beta_h))
     return [om, eta_nano, eta_carnot, label, w_ext, g, eps]
 
@@ -173,10 +171,7 @@ def _cmd_work(args) -> int:
         raise _CliError(f"need g < beta_c - beta_h = {beta_c - beta_h:.6g}, got {args.g!r}")
     family = _family_from_args(args)
     eps = args.eps if args.eps is not None else family.eval(args.g)
-    inst = quasi_static_instance(
-        EnergySpectrum((0.0, args.e)), beta_c, beta_h, args.g, eps, copies=args.n
-    )
-    result = second_laws.max_extractable_work(inst)
+    result = nano._qubit_step(args.e, beta_c, beta_h, args.g, eps, args.n)[1]
     if args.output:
         rows = [[a, w] for a, w in result.curve.samples]
         write_csv(rows, ("alpha", "w_alpha"), args.output)

@@ -240,6 +240,14 @@ def quasi_static_instance(
     )
 
 
+def _decreasing_steps(g_sequence: Sequence[float]) -> list:
+    """The steps of a g-schedule as floats; they must decrease strictly toward 0."""
+    g_list = [float(g) for g in g_sequence]
+    if any(b >= a for a, b in zip(g_list, g_list[1:])):
+        raise ParameterError("g_sequence must be strictly decreasing")
+    return g_list
+
+
 def macro_carnot_limit(
     spectrum: EnergySpectrum,
     beta_c: float,
@@ -252,9 +260,7 @@ def macro_carnot_limit(
     g values must decrease toward 0; eps_of_g is either None (perfect work)
     or a vanishing failure-probability family.
     """
-    g_list = [float(g) for g in g_sequence]
-    if any(b >= a for a, b in zip(g_list, g_list[1:])):
-        raise ParameterError("g_sequence must be strictly decreasing")
+    g_list = _decreasing_steps(g_sequence)
     out = []
     for g in g_list:
         eps = 0.0 if eps_of_g is None else float(eps_of_g(g))

@@ -21,7 +21,7 @@ from .errors import (
     ParameterError,
     RegimeError,
 )
-from .macro import efficiency_breakdown, quasi_static_instance
+from .macro import _decreasing_steps, efficiency_breakdown, quasi_static_instance
 from .second_laws import Alpha, _bisect_many, _speculation_depth, max_extractable_work
 from .thermo import BLOCK_ELEMENTS, EnergySpectrum, QubitBath, binary_entropy, thermal_state
 
@@ -312,9 +312,14 @@ def g_function(e_gap: float, beta_c: float, beta_h: float, alpha) -> np.ndarray 
     a = np.atleast_1d(a_in)
     ln_k, ln_b_prime = _ln_k(e_gap, beta_c, beta_h, a)
     am1 = a - 1.0
-    # K/b_alpha' ~ e^(2z) / z passes the float range at large orders
-    with np.errstate(over="ignore"):
-        out = a * am1 - am1 * np.exp(ln_k - ln_b_prime)
+    # K/b_alpha' ~ e^(2z) / z passes the float range at large orders, and a(a - 1)
+    # above ~1.34e154; where both do, the sign of a - K/b_alpha' decides (-inf at inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ln_r = ln_k - ln_b_prime
+        out = a * am1 - am1 * np.exp(ln_r)
+    if not a.max(initial=0.0) <= 1e154:  # one test keeps the lane work off moderate orders
+        big = np.isnan(out) & ~np.isnan(a)
+        out[big] = np.where(ln_r[big] <= np.log(a[big]), np.inf, -np.inf)
     return float(out[0]) if a_in.ndim == 0 else out
 
 
@@ -474,6 +479,13 @@ def infimum_location(e_gap: float, beta_c: float, beta_h: float, kappa_bar: floa
 # the quasi-static engine
 # ---------------------------------------------------------------------------
 
+def _qubit_step(e_gap: float, beta_c: float, beta_h: float, g: float, eps: float, copies: int):
+    """The instance of `copies` qubits of gap e_gap at the quasi-static step g and
+    failure probability eps, and its solve: every qubit solve of the package."""
+    inst = quasi_static_instance(EnergySpectrum((0.0, e_gap)), beta_c, beta_h, g, eps, copies=copies)
+    return inst, max_extractable_work(inst)
+
+
 @dataclass(frozen=True)
 class QuasiStaticConfig:
     """One quasi-static engine run on an identical-gap qubit bath."""
@@ -552,9 +564,7 @@ def quasistatic_engine(cfg: QuasiStaticConfig) -> QuasiStaticResult:
         quasistatic_efficiency(cfg.beta_c, cfg.beta_h, g1, gamma_target) if gamma_target > 0 else 0.0
     )
 
-    spectrum = EnergySpectrum((0.0, e_gap))
-    inst = quasi_static_instance(spectrum, cfg.beta_c, cfg.beta_h, cfg.g, eps, copies=n)
-    solved = max_extractable_work(inst)
+    inst, solved = _qubit_step(e_gap, cfg.beta_c, cfg.beta_h, cfg.g, eps, n)
     eta_num = efficiency_breakdown(inst, solved.w_ext).eta
 
     band = prediction_band(cfg)
@@ -591,16 +601,12 @@ def near_perfect_ratio(cfg: QuasiStaticConfig, g_sequence: Sequence[float]) -> T
     eps*ln(eps)/g vanishes, which is recorded per point); exponents above 1
     make it diverge, i.e. the family does not extract near perfect work.
     """
-    g_list = [float(g) for g in g_sequence]
-    if any(b >= a for a, b in zip(g_list, g_list[1:])):
-        raise ParameterError("g_sequence must be strictly decreasing")
+    g_list = _decreasing_steps(g_sequence)
     e_gap = _identical_gap(cfg.bath)
-    spectrum = EnergySpectrum((0.0, e_gap))
     out = []
     for g in g_list:
         eps = cfg.family.eval(g)
-        inst = quasi_static_instance(spectrum, cfg.beta_c, cfg.beta_h, g, eps, copies=cfg.bath.n)
-        w = max_extractable_work(inst).w_ext
+        w = _qubit_step(e_gap, cfg.beta_c, cfg.beta_h, g, eps, cfg.bath.n)[1].w_ext
         ds = binary_entropy(eps)
         out.append(
             RatioPoint(

@@ -562,7 +562,8 @@ def no_perfect_work(inst: TransitionInstance, w_requested: float | None = None) 
     The violated support condition is tr[(P0 - P1) tau_W] > 0, evaluated on
     the battery ladder at the hot temperature: the start level always carries
     more thermal weight than any strictly higher charged level, so W > 0
-    demands a support change that no allowed transition can produce.
+    demands a support change that no allowed transition can produce. The gap is
+    tau(E_j) (1 - e^(-beta_h W)): 0.0 only where tau(E_j) underflows.
     """
     if inst.battery.eps != 0.0:
         raise ParameterError("the impossibility certificate applies to eps = 0 only")
@@ -582,16 +583,11 @@ def no_perfect_work(inst: TransitionInstance, w_requested: float | None = None) 
             reason="no work demanded; the transition is vacuously allowed",
         )
     levels = inst.battery.levels.array
-    e_j = levels[inst.battery.j_index]
-    e_k = e_j + w
     shifted = -inst.beta_h * (levels - levels.min())
-    ln_z = logsumexp(shifted)
-    gap = math.exp(-inst.beta_h * (e_j - levels.min()) - ln_z) - math.exp(
-        -inst.beta_h * (e_k - levels.min()) - ln_z
-    )
+    tau_j = math.exp(shifted[inst.battery.j_index] - logsumexp(shifted))
     return PerfectWorkCertificate(
         applicable=True,
-        impossible=gap > 0.0,
-        d0_gap=float(gap),
+        impossible=True,
+        d0_gap=float(tau_j * -math.expm1(-inst.beta_h * w)),
         reason="support condition violated: the start level outweighs the charged level thermally",
     )

@@ -193,6 +193,12 @@ def test_carnot_limit_out_of_regime():
         macro_carnot_limit(QUBIT, 1.0, 0.5, [0.6])
 
 
+@pytest.mark.parametrize("g_list", [[1e-3, 1e-3], [1e-4, 1e-3]])
+def test_carnot_limit_rejects_a_schedule_that_does_not_decrease(g_list):
+    with pytest.raises(ParameterError):
+        macro_carnot_limit(QUBIT, 1.0, 0.5, g_list)
+
+
 def test_perfect_work_efficiency_below_carnot():
     # order-1 efficiency of thermal finals with eps = 0 never exceeds Carnot
     rng = make_rng(24)

@@ -14,6 +14,12 @@ from nanoheat.multicycle import convergence_schedule, first_n_below
 E, BC, BH = 15.0, 0.1, 1 / 15  # Omega(15) < 1 at T = (15, 10)
 
 
+@pytest.mark.parametrize("schedule", [(1_000, 1_000), (1_000, 100)])
+def test_schedule_rejects_counts_that_do_not_increase(schedule):
+    with pytest.raises(ParameterError):
+        convergence_schedule(1.0, E, BC, BH, 0.5, schedule)
+
+
 def test_plan_large_n_keeps_top_weight():
     ledger = plan_cycles(1.0, E, BC, BH, 0.5, 100_000)
     assert ledger.r >= 0.999

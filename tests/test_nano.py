@@ -359,6 +359,27 @@ def test_g_function_order_one_is_zero_without_warning():
     assert values[1] == 0.0 and np.all(np.isfinite(values))
 
 
+@pytest.mark.parametrize("e", [1.0, 15.0])
+@pytest.mark.parametrize("a", [1e154, 1.4e154, 1e300, math.inf])
+def test_g_function_at_huge_orders_is_minus_infinity(e, a):
+    # from about 1.34e154 on a(a - 1) overflows as well as (a - 1) K/b_alpha',
+    # and inf - inf gave nan with an "invalid value" warning
+    assert g_function(e, BC, BH, a) == -math.inf
+    if math.isfinite(a):
+        assert qubit_oracle.g_function(e, BC, BH, a)[0] < -np.finfo(float).max
+
+
+def test_g_function_at_huge_orders_keeps_the_other_lanes():
+    orders = np.array([math.nan, math.inf, 2.0, 1.0, 0.5])
+    values = g_function(15.0, BC, BH, orders)
+    assert math.isnan(values[0]) and values[1] == -math.inf
+    assert values[2:].tolist() == g_function(15.0, BC, BH, orders[2:]).tolist()
+    assert math.copysign(1.0, values[3]) == 1.0  # +0.0 at order 1
+    # at a tiny gap a(a - 1) is the larger of the two overflowing terms
+    assert qubit_oracle.g_function(1e-196, BC, BH, 1e200)[0] > np.finfo(float).max
+    assert g_function(1e-196, BC, BH, 1e200) == math.inf
+
+
 def test_classify_sign_pattern_consistency_random():
     rng = make_rng(34)
     for _ in range(1000):
@@ -564,6 +585,31 @@ def test_ratio_diverges_for_steep_power_family():
     pts = near_perfect_ratio(cfg, [1e-2, 1e-3, 1e-4, 1e-5])
     ratios = [p.ratio for p in pts]
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
+
+
+@pytest.mark.parametrize("g_list", [[1e-3, 1e-3], [1e-4, 1e-3], [1e-2, 1e-3, 1e-3]])
+def test_ratio_rejects_a_schedule_that_does_not_decrease(g_list):
+    cfg = QuasiStaticConfig(QubitBath((15.0,)), BC, BH, 1e-5, EpsilonFamily.power(1.0, 0.5))
+    with pytest.raises(ParameterError):
+        near_perfect_ratio(cfg, g_list)
+
+
+@pytest.mark.parametrize("g_list", [[1e-3, 1e-4], []])
+def test_ratio_rejects_mixed_gaps_even_without_steps(g_list):
+    cfg = QuasiStaticConfig(QubitBath((15.0, 45.0)), BC, BH, 1e-5, EpsilonFamily.power(1.0, 0.5))
+    with pytest.raises(ParameterError):
+        near_perfect_ratio(cfg, g_list)
+
+
+@pytest.mark.parametrize("beta_c, beta_h, g", [
+    (BC, BH, BC - BH),  # the step reaches the hot bath
+    (BC, BH, 0.05),
+    (BH, BH, 1e-5),  # equal temperatures
+    (BH, BC, 1e-5),  # the cold bath is the hotter one
+])
+def test_config_rejects_steps_and_temperatures_out_of_bounds(beta_c, beta_h, g):
+    with pytest.raises(ParameterError):
+        QuasiStaticConfig(QubitBath((15.0,)), beta_c, beta_h, g, EpsilonFamily.power(1.0, 0.5))
 
 
 def test_ratio_log_linear_fails_condition():

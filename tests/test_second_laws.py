@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -552,6 +553,27 @@ def test_perfect_work_impossible_for_thermal_bath():
 def test_perfect_work_vacuous_at_zero_demand():
     cert = no_perfect_work(still_instance(0.0), w_requested=0.0)
     assert cert.applicable and not cert.impossible
+
+
+def test_perfect_work_impossible_where_the_gap_underflows():
+    # both thermal weights of the top ladder rungs underflow at beta_h = 60, and
+    # a tiny w made tau(E_j) - tau(E_j + w) round to 0.0: neither is possible work
+    cold = thermal_state(QUBIT, 120.0)
+    ladder = BatterySpec(EnergySpectrum(tuple(float(e) for e in range(16))), 14, 15, 0.0)
+    cert = no_perfect_work(TransitionInstance(cold, cold, 60.0, 120.0, ladder))
+    assert cert.applicable and cert.impossible
+    cert = no_perfect_work(still_instance(0.0), w_requested=1e-17)
+    assert cert.applicable and cert.impossible and cert.d0_gap > 0
+
+
+@pytest.mark.parametrize("w", [1e-17, 1e-9, 1e-3, 1.0, 10.0])
+def test_perfect_work_gap_matches_mpmath(w):
+    # tau(0) (1 - e^(-beta_h w)) on the (0, 1) ladder at beta_h = 0.5
+    with mpmath.workdps(40):
+        half = mpmath.mpf(0.5)
+        ref = float(-mpmath.expm1(-half * w) / (1 + mpmath.exp(-half)))
+    cert = no_perfect_work(still_instance(0.0), w_requested=w)
+    assert abs(cert.d0_gap - ref) <= 1e-15 * ref
 
 
 def test_perfect_work_inapplicable_without_full_rank():
