@@ -291,7 +291,8 @@ def macro_extension_records(rec):
 
 def schedule_records(rec):
     """The g-schedule readers, the engine's config checks, no_perfect_work where
-    the thermal weights underflow or w is tiny, and g_function at huge orders."""
+    the thermal weights underflow, w is tiny or w is NaN, and g_function at huge
+    orders."""
     beta_c, beta_h = 0.1, 1.0 / 15.0
     g_list = (1e-2, 1e-3, 1e-4, 1e-5)
     for family, gaps in ((nh.EpsilonFamily.power(1.0, 0.5), (15.0,)),
@@ -334,7 +335,8 @@ def schedule_records(rec):
             ("ladder 0..15, start 14, beta_h = 60", ladder, 14, 15, 60.0, None),
             ("(0, 1), w = 1e-17, beta_h = 0.5", nh.EnergySpectrum((0.0, 1.0)), 0, 1, 0.5, 1e-17),
             ("(0, 1), w = 1e-9, beta_h = 0.5", nh.EnergySpectrum((0.0, 1.0)), 0, 1, 0.5, 1e-9),
-            ("(0, 1), w = 1, beta_h = 0.5", nh.EnergySpectrum((0.0, 1.0)), 0, 1, 0.5, None)):
+            ("(0, 1), w = 1, beta_h = 0.5", nh.EnergySpectrum((0.0, 1.0)), 0, 1, 0.5, None),
+            ("(0, 1), w = nan, beta_h = 0.5", nh.EnergySpectrum((0.0, 1.0)), 0, 1, 0.5, math.nan)):
         cold = nh.thermal_state(nh.EnergySpectrum((0.0, 1.0)), 2.0 * b_h)
         inst = nh.TransitionInstance(cold, cold, b_h, 2.0 * b_h, nh.BatterySpec(spectrum, j, k, 0.0))
         rec(f"no_perfect_work {key}", nh.no_perfect_work, inst, w)

@@ -543,11 +543,8 @@ def transition_feasible(rho0: DiagonalState, rho1: DiagonalState, beta_h: float)
     all_alphas = np.concatenate([alphas, [t for t, _ in tagged]])
     all_gaps = np.concatenate([gaps, [d / beta_h for _, d in tagged]])
     worst = int(np.argmin(all_gaps))
-    violations = tuple(
-        (float(a), float(g))
-        for a, g in zip(all_alphas, all_gaps)
-        if g < -FEASIBILITY_TOL
-    )
+    bad = np.flatnonzero(all_gaps < -FEASIBILITY_TOL)
+    violations = tuple(zip(all_alphas[bad].tolist(), all_gaps[bad].tolist()))
     return FeasibilityReport(
         feasible=len(violations) == 0,
         min_gap=float(all_gaps[worst]),
@@ -568,6 +565,8 @@ def no_perfect_work(inst: TransitionInstance, w_requested: float | None = None) 
     if inst.battery.eps != 0.0:
         raise ParameterError("the impossibility certificate applies to eps = 0 only")
     w = inst.battery.w_ext if w_requested is None else float(w_requested)
+    if math.isnan(w):
+        raise ParameterError("the requested work must be a number, got nan")
     if not inst.cold_initial.full_rank:
         return PerfectWorkCertificate(
             applicable=False,

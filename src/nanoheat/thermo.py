@@ -9,11 +9,14 @@ Conventions used throughout the package:
   max-term subtraction, so Renyi orders from 1e-6 up to 1e6 stay in range.
 
 All values are immutable after construction and all operations are pure
-functions, safe to share across concurrent workers. A DiagonalState memoizes
-its logs against one Gibbs state, of the latest beta asked for, in one slot
-(``DiagonalState.gibbs_logs``). Two workers that use one state at different
-betas replace each other's slot, but each call still returns the memo for its
-own beta, so a race only costs a recomputation.
+functions, safe to share across concurrent workers. The column power sums set
+numpy's ufunc buffer size only inside an ``np.errstate()`` scope, which numpy
+keeps per thread and per context and restores on exit, so a caller's settings
+are the same after the call and no other worker sees the change. A
+DiagonalState memoizes its logs against one Gibbs state, of the latest beta
+asked for, in one slot (``DiagonalState.gibbs_logs``). Two workers that use
+one state at different betas replace each other's slot, but each call still
+returns the memo for its own beta, so a race only costs a recomputation.
 """
 from __future__ import annotations
 
@@ -45,6 +48,15 @@ BLOCK_ELEMENTS = 2 ** 15
 #: exp(-745.13) the smallest subnormal), through a slow path that costs
 #: about 20 times a normal result; the column power sums skip those lanes.
 EXP_CUT = -746.0
+
+#: Fewest lanes a row needs for the column path to shift it in a buffer of
+#: one row. At numpy's default 8192-element ufunc buffer, ``x -= top`` over
+#: rows of at most 4096 lanes copies the broadcast row maxima into a buffer
+#: that spans rows; a row-sized buffer skips the copy, but costs a scope and
+#: shorter inner loops. Blocks of 2**15 terms, numpy 2.4.6, scoped against
+#: plain: 64 lanes 1.39x slower, 96 even, 128-160 0.76-0.89, 192 0.72-0.74,
+#: 4096 0.49-0.51.
+_ROW_BUFFER_MIN = 192
 
 #: The standard sampling grid of Renyi orders: 400 log-spaced points, none
 #: within ALPHA_SEAM of 1. The solver and feasibility checks read it.
@@ -351,13 +363,16 @@ class SupportLogs(NamedTuple):
         buffers allocated once per call and reused block after block: freeing
         block-sized temporaries can make the allocator return the memory to the
         OS and fault it back in, which on 4096 levels cost more than the
-        arithmetic. In a block, ``exp`` runs only on the shifted exponents at
-        or above EXP_CUT (below it, it would give 0.0 through its slow
-        underflow path), and a block holding a row whose max is not finite goes
-        through ``logsumexp``. Every lane gets the value ``exp`` would give it
-        and each row (one order, one record) is reduced on its own over the
-        last axis, so the values are those of the one-pass expression of each
-        record, bit for bit.
+        arithmetic. A block holding a row whose max is not finite goes through
+        ``logsumexp``; any other is shifted by its row maxima (rows of at least
+        _ROW_BUFFER_MIN lanes and at most half numpy's ufunc buffer size in a
+        buffer of one row) and takes one of two ``exp`` paths: a plain ``exp``
+        when every shifted exponent is at or above EXP_CUT, else ``exp`` on
+        those lanes only and 0.0 on the others (below the cut ``exp`` gives 0.0
+        through its slow underflow path). Every lane gets the value ``exp``
+        would give it and each row (one order, one record) is reduced on its
+        own over the last axis, so the values are those of the one-pass
+        expression of each record, bit for bit.
         """
         if np.ndim(a) == 0:
             return logsumexp(self._exponents(a))
@@ -387,10 +402,19 @@ class SupportLogs(NamedTuple):
         np.maximum.reduce(x, axis=-1, keepdims=True, out=top)
         if not np.isfinite(top).all():
             return logsumexp(x, axis=-1)
-        x -= top
+        lanes = x.shape[-1]
+        if _ROW_BUFFER_MIN <= lanes <= np.getbufsize() // 2:
+            with np.errstate():  # the caller's buffer size comes back on exit
+                np.setbufsize(lanes - lanes % 16)
+                x -= top
+        else:
+            x -= top
         np.greater_equal(x, EXP_CUT, out=keep)
-        term.fill(0.0)  # what exp gives the lanes below the cut
-        np.exp(x, out=term, where=keep)
+        if np.count_nonzero(keep) == keep.size:  # cheaper than keep.all() on qubit blocks
+            np.exp(x, out=term)
+        else:
+            term.fill(0.0)  # what exp gives the lanes below the cut
+            np.exp(x, out=term, where=keep)
         return np.log(np.add.reduce(term, axis=-1)) + top[..., 0]
 
 

@@ -555,6 +555,15 @@ def test_perfect_work_vacuous_at_zero_demand():
     assert cert.applicable and not cert.impossible
 
 
+def test_perfect_work_rejects_a_nan_request():
+    # NaN is no demand for work, so no certificate either way; zero and
+    # negative requests stay vacuously allowed
+    with pytest.raises(ParameterError):
+        no_perfect_work(still_instance(0.0), w_requested=math.nan)
+    cert = no_perfect_work(still_instance(0.0), w_requested=-1.0)
+    assert cert.applicable and not cert.impossible and cert.d0_gap == 0.0
+
+
 def test_perfect_work_impossible_where_the_gap_underflows():
     # both thermal weights of the top ladder rungs underflow at beta_h = 60, and
     # a tiny w made tau(E_j) - tau(E_j + w) round to 0.0: neither is possible work

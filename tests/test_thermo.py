@@ -419,14 +419,20 @@ def _wide_random_logs():
 
 
 @pytest.mark.parametrize(
-    "make_logs, blocks",
-    [(_qubit_logs, 1), (_twelve_qubit_logs, 50), (_wide_random_logs, 13)],
+    "make_logs, blocks, both_exp_paths",
+    [(_qubit_logs, 1, False), (_twelve_qubit_logs, 50, True), (_wide_random_logs, 13, False)],
     ids=["qubit-one-block", "4096-levels-full-blocks", "1000-levels-partial-block"],
 )
-def test_blocked_power_sum_equals_the_one_pass_expression(make_logs, blocks):
+def test_blocked_power_sum_equals_the_one_pass_expression(make_logs, blocks, both_exp_paths):
     logs = make_logs()
     rows = BLOCK_ELEMENTS // logs.lp.size
     assert math.ceil(len(GRID) / rows) == blocks
+    if both_exp_paths:
+        # blocks whose every lane is at or above the cut take the plain exp,
+        # blocks that straddle it the masked one
+        shifted, _ = _shifted(logs, GRID)
+        kept = [(block >= EXP_CUT).all() for block in np.split(shifted, range(rows, len(GRID), rows))]
+        assert any(kept) and not all(kept)
     # where lq is -inf, orders above 1 sum to +inf, and exp overflows on the way
     with np.errstate(over="ignore"):
         one_pass = logsumexp(GRID * logs.lp + (1.0 - GRID) * logs.lq, axis=1)
@@ -521,10 +527,31 @@ def test_column_power_sum_allocates_no_block_sized_temporaries():
         block_peak = tracemalloc.get_traced_memory()[1] - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert column_peak < 1e6  # the two buffers, the mask and numpy's 64 KiB iterator buffer: 0.63 MB
+    assert column_peak < 1e6  # the two buffers and the mask: 0.56 MB
     # a block of doubles is 256 KiB; what a block allocates on its own is
-    # row-sized, plus the 64 KiB buffer numpy's iterator takes for the row shift
+    # row-sized (1.5 KB): the row shift runs in a buffer of one row, without
+    # the 64 KiB buffer numpy's iterator takes at its default size
     assert block_peak < BLOCK_ELEMENTS * 8 / 2
+
+
+def test_column_power_sum_leaves_numpy_state_as_it_found_it():
+    # the row shift sets numpy's ufunc buffer size in a scope of its own; the
+    # caller's buffer size and error handling hold after the call, at numpy's
+    # defaults and inside the caller's own settings
+    logs = _twelve_qubit_logs()
+    one_pass = logsumexp(GRID * logs.lp + (1.0 - GRID) * logs.lq, axis=1)
+
+    def check():
+        before = np.getbufsize(), np.geterr()
+        sums = logs.log_power_sum(GRID)
+        assert (np.getbufsize(), np.geterr()) == before
+        assert sums.tobytes() == one_pass.tobytes()
+
+    check()
+    with np.errstate(over="ignore"):
+        np.setbufsize(16_384)
+        check()
+        assert np.getbufsize() == 16_384 and np.geterr()["over"] == "ignore"
 
 
 # --- stacked records --------------------------------------------------------------
