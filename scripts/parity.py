@@ -175,6 +175,27 @@ def solver_records(rec):
             rebuilt = nh.quasi_static_instance(nh.EnergySpectrum(spectrum.levels), 0.1, 1.0 / 15.0, 1e-5, 1e-10)
             wide_records(rec, f"{key} rebuilt", rebuilt)
     kernel_edge_records(rec)
+    narrow_records(rec)
+
+
+def narrow_records(rec):
+    """Spectra of 3, 5, 7 and 8 levels: the power sums hold supports under 8
+    lanes lanes first and wider ones orders first. Each spectrum has a
+    quasi-static instance, whose two records are stacked, and one whose final
+    state has lost a level, whose records are not."""
+    rng = np.random.default_rng(2215)
+    for n in (3, 5, 7, 8):
+        spectrum = nh.EnergySpectrum(tuple(np.sort(rng.uniform(0.0, 40.0, size=n))))
+        beta_c, beta_h = 1.0 / rng.uniform(1.0, 19.0), 1.0 / rng.uniform(20.0, 60.0)
+        key = f"{n}-level"
+        instance_records(rec, key, nh.quasi_static_instance(spectrum, beta_c, beta_h, 1e-5, 1e-10))
+        final = nh.thermal_state(spectrum, beta_c * 0.9).array.copy()
+        final[int(rng.integers(n))] = 0.0
+        inst = nh.TransitionInstance(
+            nh.thermal_state(spectrum, beta_c), nh.DiagonalState(tuple(final / final.sum()), spectrum),
+            beta_h, beta_c, battery(1e-6))
+        assert inst._stacked_logs is None  # the records differ in support size
+        instance_records(rec, f"{key} rank-deficient final", inst)
 
 
 def kernel_edge_records(rec):
@@ -262,6 +283,11 @@ def nano_records(rec):
     rec("EpsilonFamily.power(1.0, nan)", nh.EpsilonFamily.power, 1.0, math.nan)
     rec("plan_cycles(w_target=nan)", nh.plan_cycles, math.nan, 15.0, 0.1, 1.0 / 15.0, 0.5, 1000)
     rec("plan_cycles(w_target=inf)", nh.plan_cycles, math.inf, 15.0, 0.1, 1.0 / 15.0, 0.5, 1000)
+    for e in (math.nan, math.inf):
+        for name in ("gamma_infinity", "omega_single", "tanh_indicator", "classify_regime", "estimate_nu"):
+            rec(f"{name}(gap={e!r})", getattr(nh.nano, name), e, 0.1, 1.0 / 15.0)
+        rec(f"gamma(gap={e!r})", nh.gamma, e, 0.1, 1.0 / 15.0, 2.0)
+        rec(f"infimum_location(gap={e!r})", nh.infimum_location, e, 0.1, 1.0 / 15.0, 0.9)
 
 
 def macro_extension_records(rec):
@@ -287,6 +313,12 @@ def macro_extension_records(rec):
         n = int(rng.integers(1, 6))
         state = nh.DiagonalState(tuple(rng.dirichlet(np.ones(n))), nh.EnergySpectrum(tuple(rng.uniform(0, 3, n))))
         rec(f"state_moments[{i}]", nh.state_moments, state)
+    inst = nh.quasi_static_instance(nh.EnergySpectrum((0.0, 1.0)), 1.0, 0.5, 0.05, 0.0)
+    spec = nh.EnergySpectrum((0.0, 1.0, 3.0))
+    for x in (math.nan, math.inf):
+        rec(f"efficiency_breakdown(w_ext={x!r})", nh.efficiency_breakdown, inst, x)
+        rec(f"find_beta_for_mean_shift(target={x!r})", nh.macro.find_beta_for_mean_shift, spec, 1.0, 0.5, x)
+        rec(f"thermal_optimality_check(target={x!r})", nh.thermal_optimality_check, spec, 1.0, 0.5, x, 5)
 
 
 def schedule_records(rec):
@@ -389,6 +421,7 @@ CLI_RUNS = {
     "multicycle-w-inf": ["multicycle", "--w", "inf", "--e", "15", "--t-hot", "15", "--t-cold", "10"],
     "work-t-cold-subnormal": ["work", "--e", "45", "--t-hot", "15", "--t-cold", "1e-320"],
     "classify-t-cold-subnormal": ["classify", "--e", "45", "--t-hot", "15", "--t-cold", "1e-320"],
+    "classify-e-inf": ["classify", "--e", "inf", "--t-hot", "15", "--t-cold", "10"],
     "work-family-c-nan": ["work", "--e", "45", "--t-hot", "15", "--t-cold", "10", "--family-c", "nan"],
     "sweep-tcold-lo-nan": ["sweep", "--mode", "tcold", "--t-hot", "20", "--e-min", "15",
                            "--lo", "nan", "--hi", "19.5", "--steps", "3"],

@@ -79,8 +79,8 @@ def macro_work(inst: TransitionInstance) -> float:
 
 def efficiency_breakdown(inst: TransitionInstance, w_ext: float) -> EfficiencyBreakdown:
     """Split the hot-bath energy draw into cold-bath and battery parts."""
-    if w_ext <= 0:
-        raise ParameterError("efficiency needs w_ext > 0")
+    if not 0 < w_ext < math.inf:  # nan fails too
+        raise ParameterError("efficiency needs a finite w_ext > 0")
     mean0, _, _ = state_moments(inst.cold_initial)
     mean1, _, _ = state_moments(inst.cold_final)
     eps = inst.battery.eps
@@ -112,7 +112,7 @@ def find_beta_for_mean_shift(
     The mean energy is strictly decreasing in beta, so the target is monotone
     over the bracket.
     """
-    if delta_c_target < 0:
+    if not delta_c_target >= 0:  # nan fails too
         raise ParameterError("target mean-energy shift must be nonnegative")
     reach = _mean_energy(spectrum, beta_h) - _mean_energy(spectrum, beta_c)
     if delta_c_target > reach:

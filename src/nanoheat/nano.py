@@ -139,8 +139,8 @@ def estimate_kappa_bar(family: EpsilonFamily) -> float:
 # ---------------------------------------------------------------------------
 
 def _check_qubit_params(e_gap: float, beta_c: float, beta_h: float):
-    if e_gap <= 0:
-        raise ParameterError("qubit gap must be positive")
+    if not 0.0 < e_gap < math.inf:  # nan fails too
+        raise ParameterError("qubit gap must be positive and finite")
     if not (beta_c > beta_h > 0):
         raise ParameterError("need beta_c > beta_h > 0")
 

@@ -58,6 +58,12 @@ EXP_CUT = -746.0
 #: 4096 0.49-0.51.
 _ROW_BUFFER_MIN = 192
 
+#: Fewest lanes over which numpy (2.4.6) sums a row pairwise. Over a last
+#: axis of fewer lanes ``np.add.reduce`` adds them from the left,
+#: t0 + t1 + t2 + ..., and the column path spells out that fold itself when
+#: it holds such rows lanes first. numpy's threshold, not a tuning value.
+_PAIRWISE_LANES = 8
+
 #: The standard sampling grid of Renyi orders: 400 log-spaced points, none
 #: within ALPHA_SEAM of 1. The solver and feasibility checks read it.
 ALPHA_GRID_MIN = 1e-6
@@ -363,29 +369,40 @@ class SupportLogs(NamedTuple):
         buffers allocated once per call and reused block after block: freeing
         block-sized temporaries can make the allocator return the memory to the
         OS and fault it back in, which on 4096 levels cost more than the
-        arithmetic. A block holding a row whose max is not finite goes through
-        ``logsumexp``; any other is shifted by its row maxima (rows of at least
-        _ROW_BUFFER_MIN lanes and at most half numpy's ufunc buffer size in a
-        buffer of one row) and takes one of two ``exp`` paths: a plain ``exp``
-        when every shifted exponent is at or above EXP_CUT, else ``exp`` on
-        those lanes only and 0.0 on the others (below the cut ``exp`` gives 0.0
-        through its slow underflow path). Every lane gets the value ``exp``
-        would give it and each row (one order, one record) is reduced on its
-        own over the last axis, so the values are those of the one-pass
-        expression of each record, bit for bit.
+        arithmetic. The buffers hold a support of _PAIRWISE_LANES lanes or more
+        orders first, one row of lanes per order. A narrower one, a qubit's 2
+        lanes say, they hold lanes first, one run of orders per lane (shaped
+        lanes, stack, orders, 1): numpy reduces a short last axis one inner
+        loop per row, so every pass then runs along the orders instead, and
+        the row maxima and sums are folded over the lane slices. A block
+        holding a row whose max is not finite goes through ``logsumexp``; any
+        other is shifted by its row maxima (rows of at least _ROW_BUFFER_MIN
+        lanes and at most half numpy's ufunc buffer size in a buffer of one
+        row) and takes one of two ``exp`` paths: a plain ``exp`` when every
+        shifted exponent is at or above EXP_CUT, else ``exp`` on those lanes
+        only and 0.0 on the others (below the cut ``exp`` gives 0.0 through its
+        slow underflow path). Every lane gets the value ``exp`` would give it
+        and each row (one order, one record) is summed on its own, by
+        ``np.add.reduce`` over its lanes or, under _PAIRWISE_LANES lanes, by the
+        left fold that reduce uses there, so the values are those of the
+        one-pass expression of each record, bit for bit.
         """
         if np.ndim(a) == 0:
             return logsumexp(self._exponents(a))
+        lanes, lead = self.lp.shape[-1], self.lp.shape[:-2]
         rows = max(1, min(len(a), BLOCK_ELEMENTS // self.lp.size))
-        shape = self.lp.shape[:-2] + (rows, self.lp.shape[-1])
+        logs, shape = self, lead + (rows, lanes)
+        if lanes < _PAIRWISE_LANES:  # lanes first; lp and lq shaped (lanes, stack, 1, 1)
+            shape = (lanes,) + lead + (rows, 1)
+            logs = SupportLogs(self.p, self.q, *(f.T.reshape(shape[:-2] + (1, 1)) for f in (self.lp, self.lq)))
         x, term, keep = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
-        top = np.empty(shape[:-1] + (1,))
-        sums = np.empty(shape[:-2] + (len(a),))
+        top = np.empty(lead + (rows, 1))
+        sums = np.empty(lead + (len(a),))
         for i in range(0, len(a), rows):
             r = min(rows, len(a) - i)
             if r < rows:  # the last block is partial
                 x, term, keep, top = (buf[..., :r, :] for buf in (x, term, keep, top))
-            sums[..., i:i + r] = self._block_sums(a[i:i + r], x, term, keep, top)
+            sums[..., i:i + r] = logs._block_sums(a[i:i + r], x, term, keep, top)
         return sums
 
     def _exponents(self, a, out=None, term=None):
@@ -395,14 +412,21 @@ class SupportLogs(NamedTuple):
 
     def _block_sums(self, a, x, term, keep, top):
         """The column path's sums for the orders a (a column), computed in the
-        buffers x and term (a's rows by the support, after the stack axis of a
-        stacked record), keep (the same in bools) and top (x's shape with one
-        lane); one sum per row, reduced over the last axis."""
+        buffers x and term (after the stack axis of a stacked record, a's rows
+        by the lanes, or with the lanes first, ahead of those, and one lane
+        last), keep (the same in bools) and top (the stack axis, a's rows and
+        one lane); one sum per row."""
         self._exponents(a, x, term)
-        np.maximum.reduce(x, axis=-1, keepdims=True, out=top)
+        lanes = x.shape[-1]  # 1 when the lanes come first
+        lanes_first = lanes < _PAIRWISE_LANES
+        if lanes_first:  # a running max over the lane slices (exact in any order)
+            np.maximum(x[0], x[-1], out=top)
+            for lane in x[1:-1]:
+                np.maximum(top, lane, out=top)
+        else:
+            np.maximum.reduce(x, axis=-1, keepdims=True, out=top)
         if not np.isfinite(top).all():
-            return logsumexp(x, axis=-1)
-        lanes = x.shape[-1]
+            return logsumexp(np.moveaxis(x[..., 0], 0, -1) if lanes_first else x, axis=-1)
         if _ROW_BUFFER_MIN <= lanes <= np.getbufsize() // 2:
             with np.errstate():  # the caller's buffer size comes back on exit
                 np.setbufsize(lanes - lanes % 16)
@@ -415,6 +439,11 @@ class SupportLogs(NamedTuple):
         else:
             term.fill(0.0)  # what exp gives the lanes below the cut
             np.exp(x, out=term, where=keep)
+        if lanes_first:  # the left fold t0 + t1 + ..., numpy's order under _PAIRWISE_LANES
+            total = term[0]
+            for lane in term[1:]:
+                total += lane
+            return (np.log(total) + top)[..., 0]
         return np.log(np.add.reduce(term, axis=-1)) + top[..., 0]
 
 

@@ -286,13 +286,14 @@ def test_exit_code_on_config_errors(tmp_path):
         ["work", "--e", "0", "--t-hot", "15", "--t-cold", "10"],
         ["work", "--e", "45", "--t-hot", "15", "--t-cold", "1e-320"],
         ["classify", "--e", "45", "--t-hot", "15", "--t-cold", "1e-320"],
+        ["classify", "--e", "inf", "--t-hot", "15", "--t-cold", "10"],
         ["feasible", "--levels", "0,1", "--p0", "0.6,0.4", "--p1", "0.7,0.3", "--t-hot", "1e-320"],
         ["sweep", "--mode", "thot", "--t-cold", "1e-320", "--e-min", "15", "--lo", "5.5",
          "--hi", "60", "--steps", "3", "--output", "unused.csv"],
     ],
     ids=["work-t-hot-0", "classify-t-hot-0", "feasible-t-hot-0", "multicycle-t-hot-0",
          "work-swapped-temperatures", "work-negative-gap", "work-zero-gap",
-         "work-t-cold-subnormal", "classify-t-cold-subnormal", "feasible-t-hot-subnormal",
+         "work-t-cold-subnormal", "classify-t-cold-subnormal", "classify-e-inf", "feasible-t-hot-subnormal",
          "sweep-held-t-cold-subnormal"],
 )
 @pytest.mark.filterwarnings("error")

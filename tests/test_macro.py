@@ -94,10 +94,11 @@ def test_breakdown_quasistatic_approaches_carnot():
     assert b.eta == pytest.approx(1 / 3, abs=1e-4)
 
 
-def test_breakdown_rejects_degenerate():
+@pytest.mark.parametrize("w_ext", [-1.0, math.nan, math.inf])
+def test_breakdown_rejects_degenerate(w_ext):
     inst = quasi_static_instance(QUBIT, 1.0, 0.5, 0.05, 0.0)
     with pytest.raises(ParameterError):
-        efficiency_breakdown(inst, -1.0)
+        efficiency_breakdown(inst, w_ext)
 
 
 # --- thermal optimality ------------------------------------------------------
@@ -142,6 +143,14 @@ def test_beta_bisection_hits_target(target, beta_expected):
     assert got == pytest.approx(target, abs=1e-12)
     if beta_expected is not None:
         assert beta_prime == pytest.approx(beta_expected, abs=1e-12)
+
+
+def test_beta_bisection_rejects_a_nan_target():
+    spec = EnergySpectrum((0.0, 1.0, 3.0))
+    with pytest.raises(ParameterError):
+        find_beta_for_mean_shift(spec, 1.0, 0.5, math.nan)
+    with pytest.raises(ParameterError):  # not a failure of the trial states
+        thermal_optimality_check(spec, 1.0, 0.5, math.nan, trials=5)
 
 
 # --- derivative identities ---------------------------------------------------

@@ -95,6 +95,8 @@ def test_b_alpha_prime_positive():
 @pytest.mark.parametrize("reader", [b_alpha, b_alpha_prime, gamma, g_function])
 @pytest.mark.parametrize("args", [
     (-1.0, BC, BH, 2.0),  # gap
+    (math.nan, BC, BH, 2.0),
+    (math.inf, BC, BH, 2.0),
     (15.0, BH, BC, 2.0),  # temperatures
     (15.0, BC, BH, -1.0),  # order
     (15.0, BC, BH, np.array([0.5, 2.0, -1.0])),

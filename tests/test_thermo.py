@@ -22,7 +22,7 @@ from nanoheat import (
     thermal_state,
 )
 from nanoheat.second_laws import ALPHA_GRID_MAX, ALPHA_GRID_MIN, ALPHA_GRID_POINTS
-from nanoheat.thermo import ALPHA_SEAM, BLOCK_ELEMENTS, EXP_CUT, SupportLogs, logsumexp
+from nanoheat.thermo import _PAIRWISE_LANES, ALPHA_SEAM, BLOCK_ELEMENTS, EXP_CUT, SupportLogs, logsumexp
 
 from conftest import make_rng
 
@@ -418,25 +418,106 @@ def _wide_random_logs():
     return logs
 
 
+#: The lanes of the narrow supports, a prefix of them per width. At order 1,
+#: where a finite lq adds 0.0, the lanes past the first are a row's shifted
+#: exponents: EXP_CUT and the floats next to it, subnormal exps (-745.13,
+#: -708.5) and one that is 0.0 above the cut (-745.5); the orders of a long
+#: column sweep them across the cut and through the subnormal range.
+NARROW_LP = np.array([
+    0.0, EXP_CUT, -745.13, math.nextafter(EXP_CUT, 0.0), math.nextafter(EXP_CUT, -math.inf),
+    -745.5, -708.5, -2.0,
+])
+NARROW_LANES = [1, 2, 3, 5, 7, 8]
+
+
+def _narrow_logs(lanes, lq_neginf, seed=17):
+    """A support of ``lanes`` lanes (NARROW_LP) and a column of orders that
+    runs past two row blocks and ends in order 1. With lq_neginf the last lane
+    has lq = -inf: orders above 1 give its row a +inf max, and order 1 makes
+    it NaN."""
+    lp = NARROW_LP[:lanes]
+    lq = np.random.default_rng(seed + lanes).uniform(-3.0, 0.0, lanes)
+    if lq_neginf:
+        lq[-1] = -math.inf
+    a = np.concatenate([np.geomspace(1e-6, 1e6, 2 * BLOCK_ELEMENTS // lanes + 100), [1.0]])
+    return SupportLogs(np.exp(lp), np.exp(lq), lp, lq), a[:, None]
+
+
+def _one_pass(logs, a):
+    """The one-pass expression of log_power_sum, one row per record of a stack."""
+    with np.errstate(invalid="ignore"):  # 0 * -inf at order 1
+        return logsumexp(a * logs.lp + (1.0 - a) * logs.lq, axis=-1)
+
+
+def _narrow_cases():
+    for lanes in NARROW_LANES:
+        for lq_neginf in (False, True):
+            yield pytest.param(
+                lambda lanes=lanes, lq_neginf=lq_neginf: _narrow_logs(lanes, lq_neginf), 3,
+                lanes > 1 and not lq_neginf, id=f"{lanes}-lanes-{'neginf' if lq_neginf else 'finite'}-lq")
+
+
 @pytest.mark.parametrize(
-    "make_logs, blocks, both_exp_paths",
-    [(_qubit_logs, 1, False), (_twelve_qubit_logs, 50, True), (_wide_random_logs, 13, False)],
-    ids=["qubit-one-block", "4096-levels-full-blocks", "1000-levels-partial-block"],
+    "make, blocks, both_exp_paths",
+    [pytest.param(lambda: (_qubit_logs(), GRID), 1, False, id="qubit-one-block"),
+     pytest.param(lambda: (_twelve_qubit_logs(), GRID), 50, True, id="4096-levels-full-blocks"),
+     pytest.param(lambda: (_wide_random_logs(), GRID), 13, False, id="1000-levels-partial-block"),
+     *_narrow_cases()],
 )
-def test_blocked_power_sum_equals_the_one_pass_expression(make_logs, blocks, both_exp_paths):
-    logs = make_logs()
+def test_blocked_power_sum_equals_the_one_pass_expression(make, blocks, both_exp_paths):
+    logs, a = make()
     rows = BLOCK_ELEMENTS // logs.lp.size
-    assert math.ceil(len(GRID) / rows) == blocks
+    assert math.ceil(len(a) / rows) == blocks
     if both_exp_paths:
         # blocks whose every lane is at or above the cut take the plain exp,
         # blocks that straddle it the masked one
-        shifted, _ = _shifted(logs, GRID)
-        kept = [(block >= EXP_CUT).all() for block in np.split(shifted, range(rows, len(GRID), rows))]
+        shifted, _ = _shifted(logs, a)
+        kept = [(block >= EXP_CUT).all() for block in np.split(shifted, range(rows, len(a), rows))]
         assert any(kept) and not all(kept)
-    # where lq is -inf, orders above 1 sum to +inf, and exp overflows on the way
-    with np.errstate(over="ignore"):
-        one_pass = logsumexp(GRID * logs.lp + (1.0 - GRID) * logs.lq, axis=1)
-        np.testing.assert_array_equal(logs.log_power_sum(GRID), one_pass)
+    # where lq is -inf, orders above 1 sum to +inf, and exp overflows on the
+    # way; order 1 makes a NaN lane there (0 * -inf)
+    nan_lane = np.isneginf(logs.lq).any() and (a == 1.0).any()
+    with np.errstate(over="ignore", invalid="ignore" if nan_lane else "warn"):
+        sums, one_pass = logs.log_power_sum(a), _one_pass(logs, a)
+    assert sums.tobytes() == one_pass.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lanes", NARROW_LANES)
+def test_narrow_columns_meet_every_edge_of_the_kernel(lanes):
+    # what the narrow cases of the test above hold: rows at and around the cut,
+    # subnormal terms, +inf rows next to finite ones, and a NaN row
+    finite, a = _narrow_logs(lanes, False)
+    assert len(a) > BLOCK_ELEMENTS // lanes
+    shifted, finite_rows = _shifted(finite, a)
+    assert finite_rows.all()
+    if lanes >= 2:
+        assert (shifted[-1] == EXP_CUT).any()  # order 1 puts NARROW_LP itself in a row
+        assert ((shifted >= EXP_CUT) & (shifted < -745.13)).any()  # exp gives 0.0
+        assert ((shifted < EXP_CUT) & np.isfinite(shifted)).any()  # skipped lanes
+    if lanes >= 3:
+        assert ((shifted > -745.14) & (shifted < -708.39)).any()  # exp gives a subnormal
+    neginf, a = _narrow_logs(lanes, True)
+    with np.errstate(invalid="ignore"):  # 0 * -inf at order 1
+        x = a * neginf.lp + (1.0 - a) * neginf.lq
+    top = x.max(axis=1)
+    assert np.isneginf(x).any() and np.isnan(top[-1])
+    assert (top == math.inf).any()
+    if lanes >= 2:
+        assert np.isfinite(top).any()  # one lane of -inf lq leaves the others finite
+
+
+def test_add_reduce_folds_rows_under_the_pairwise_lanes_from_the_left():
+    # under _PAIRWISE_LANES lanes the column path sums a row as the left fold
+    # t0 + t1 + ...; np.add.reduce over such a last axis must give the same
+    # bits, and from that width on it sums pairwise and does not
+    t = np.random.default_rng(18).uniform(0.0, 1.0, (4000, _PAIRWISE_LANES + 1))
+    for lanes in range(1, _PAIRWISE_LANES + 2):
+        fold = t[:, 0].copy()
+        for j in range(1, lanes):
+            fold += t[:, j]
+        same = np.add.reduce(t[:, :lanes], axis=-1).tobytes() == fold.tobytes()
+        assert same == (lanes < _PAIRWISE_LANES), lanes
 
 
 def test_blocked_power_sum_keeps_a_wide_grid_call_small():
@@ -591,17 +672,35 @@ def _cut_lanes_pair():
     return (first, SupportLogs(*(field[::-1] for field in first))), np.concatenate([GRID, [[1.0]]])
 
 
+def _narrow_pairs():
+    # a finite record stacked on one with -inf lq: blocks hold +inf and NaN
+    # rows of the second record next to finite rows of the first
+    for lanes in NARROW_LANES:
+        def make(lanes=lanes):
+            (first, a), (second, _) = _narrow_logs(lanes, False), _narrow_logs(lanes, True, seed=19)
+            return (first, second), a
+        yield pytest.param(make, id=f"{lanes}-lanes")
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "make_pair",
-    [_qubit_pair, _three_level_pair, _twelve_qubit_pair, _cut_pair, _cut_lanes_pair],
-    ids=["qubit", "3-levels", "4096-levels-partial-block", "cut-and-inf-rows", "cut-lanes-at-order-1"],
+    [pytest.param(_qubit_pair, id="qubit"),
+     pytest.param(_three_level_pair, id="3-levels"),
+     pytest.param(_twelve_qubit_pair, id="4096-levels-partial-block"),
+     pytest.param(_cut_pair, id="cut-and-inf-rows"),
+     pytest.param(_cut_lanes_pair, id="cut-lanes-at-order-1"),
+     *_narrow_pairs()],
 )
 def test_stacked_power_sums_equal_the_per_record_calls(make_pair):
     (first, second), a = make_pair()
     stacked = SupportLogs.stack([first, second])
     assert stacked.lp.shape == (2, 1, first.lp.size)
-    sums = stacked.log_power_sum(a)
+    nan_lane = np.isneginf(second.lq).any() and (a == 1.0).any()
+    with np.errstate(invalid="ignore" if nan_lane else "warn"):  # 0 * -inf at order 1
+        sums = stacked.log_power_sum(a)
+        per_record = first.log_power_sum(a), second.log_power_sum(a)
     assert sums.shape == (2, len(a))
-    assert sums[0].tobytes() == first.log_power_sum(a).tobytes()
-    assert sums[1].tobytes() == second.log_power_sum(a).tobytes()
+    assert sums[0].tobytes() == per_record[0].tobytes()
+    assert sums[1].tobytes() == per_record[1].tobytes()
+    assert sums.tobytes() == _one_pass(stacked, a).tobytes()
