@@ -290,6 +290,61 @@ def nano_records(rec):
         rec(f"infimum_location(gap={e!r})", nh.infimum_location, e, 0.1, 1.0 / 15.0, 0.9)
 
 
+def verdict_records(rec):
+    """Every reader of the Carnot verdict at the two adjacent gaps E_lo (Omega <= 1)
+    and E_hi (Omega > 1) of the Omega = 1 crossing at T = (15, 10)."""
+    beta_c, beta_h = 0.1, 1.0 / 15.0
+    e = second_laws._bisect(lambda x: nh.omega_single(x, beta_c, beta_h) <= 1.0, 1.0, 60.0)
+    e_lo = e if nh.omega_single(e, beta_c, beta_h) <= 1.0 else math.nextafter(e, 0.0)
+    e_hi = math.nextafter(e_lo, math.inf)
+    for side, gap in (("E_lo", e_lo), ("E_hi", e_hi)):
+        key = f"crossing {side} ({gap!r})"
+        rec(f"{key} omega_single", nh.omega_single, gap, beta_c, beta_h)
+        rec(f"{key} classify", nh.classify_regime, gap, beta_c, beta_h)
+        rec(f"{key} nu", nh.estimate_nu, gap, beta_c, beta_h)
+        cfg = nh.QuasiStaticConfig(nh.QubitBath((gap,)), beta_c, beta_h, 1e-5, nh.EpsilonFamily.power())
+        rec(f"{key} engine", nh.quasistatic_engine, cfg)
+        rec(f"{key} plan_cycles", nh.plan_cycles, 1.0, gap, beta_c, beta_h, 0.5, 1000)
+        rec(f"{key} correlated_bound_check", nh.correlated_bound_check,
+            gap, beta_c, beta_h, 1e-4, lambda g: g * g, samples=2, seed=3)
+    with tempfile.TemporaryDirectory() as tmp:
+        cli_run(rec, tmp, "sweep crossing", ["sweep", "--mode", "energy", "--t-hot", "15",
+                                             "--t-cold", "10", "--lo", repr(e_lo), "--hi", repr(e_hi),
+                                             "--steps", "2"])
+
+
+def nonfinite_beta_records(rec):
+    """Each entry point that takes an inverse temperature, at NaN and infinity, and
+    a quasi-static instance whose cold bath is the hotter one."""
+    beta_c, beta_h = 0.1, 1.0 / 15.0
+    qubit = nh.EnergySpectrum((0.0, 1.0))
+    cold = nh.thermal_state(nh.EnergySpectrum((0.0, 2.0)), 0.3)
+    machine = nh.DiagonalState((0.3, 0.7), nh.EnergySpectrum((0.0, 0.0)))
+    state = nh.sample_correlated_state(cold, machine, 1e-3, 0.5, np.random.default_rng(7))
+    t = nh.thermal_state(qubit, 1.0)
+    for b in (math.nan, math.inf):
+        for name, pair in (("beta_c", (b, beta_h)), ("beta_h", (beta_c, b))):
+            key = f"{name}={b!r}"
+            for fn in ("gamma_infinity", "omega_single", "tanh_indicator", "classify_regime",
+                       "estimate_nu", "gamma_one"):
+                rec(f"{fn}({key})", getattr(nh.nano, fn), 15.0, *pair)
+            for fn in ("gamma", "b_alpha", "b_alpha_prime", "g_function"):
+                rec(f"{fn}({key})", getattr(nh.nano, fn), 15.0, *pair, 2.0)
+            rec(f"infimum_location({key})", nh.infimum_location, 15.0, *pair, 0.9)
+            rec(f"QuasiStaticConfig({key})", nh.QuasiStaticConfig, nh.QubitBath((15.0,)), *pair,
+                1e-5, nh.EpsilonFamily.power())
+            rec(f"thermal_optimality_check({key})", nh.thermal_optimality_check, qubit, *pair, 0.05, 5)
+            rec(f"derivative_identities({key})", nh.derivative_identities, qubit, *pair)
+            rec(f"quasi_static_instance({key})", nh.quasi_static_instance, qubit, *pair, 1e-3, 1e-6)
+        key = f"beta={b!r}"
+        rec(f"thermal_state({key})", nh.thermal_state, qubit, b)
+        rec(f"log_partition({key})", qubit.log_partition, b)
+        rec(f"transition_feasible({key})", nh.transition_feasible, t, t, b)
+        rec(f"chi({key})", nh.chi, state, 1e-3, b)
+        rec(f"eps_hat({key})", nh.eps_hat, b, 15.0, 0.0)
+    rec("quasi_static_instance(beta_c < beta_h)", nh.quasi_static_instance, qubit, beta_h, beta_c, 1e-3, 1e-6)
+
+
 def macro_extension_records(rec):
     rng = np.random.default_rng(42)
     for i in range(40):
@@ -491,6 +546,8 @@ def main(argv):
         alpha_records(rec)
         solver_records(rec)
         nano_records(rec)
+        verdict_records(rec)
+        nonfinite_beta_records(rec)
         macro_extension_records(rec)
         schedule_records(rec)
         cli_records(rec)

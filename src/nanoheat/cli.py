@@ -134,13 +134,11 @@ def _sweep_point(e_gap, t_hot, t_cold, g, family):
     beta_h, beta_c = 1.0 / t_hot, 1.0 / t_cold
     if not math.inf > beta_c > beta_h or g >= beta_c - beta_h:
         return out_of_regime
-    om = nano.omega_single(e_gap, beta_c, beta_h)
-    eta_nano = nano.quasistatic_efficiency(beta_c, beta_h, max(1.0, om))
+    verdict = nano._regime(e_gap, beta_c, beta_h)
     eta_carnot = nano.carnot_efficiency(beta_c, beta_h)
     eps = family.eval(g)
     w_ext = nano._qubit_step(e_gap, beta_c, beta_h, g, eps, 1)[1].w_ext
-    label = nano.case_label(nano.tanh_indicator(e_gap, beta_c, beta_h))
-    return [om, eta_nano, eta_carnot, label, w_ext, g, eps]
+    return [verdict.omega, verdict.eta_quasistatic, eta_carnot, verdict.g_case, w_ext, g, eps]
 
 
 def _cmd_sweep(args) -> int:
@@ -337,7 +335,7 @@ def _load_config(path: str) -> dict:
                     raise _CliError(f"{path}:{lineno}: expected key=value, got {raw!r}")
                 key, value = (part.strip() for part in line.split("=", 1))
                 values[key.replace("-", "_")] = value
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read config file: {exc}") from exc
     return values
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericalInconsistencyError, ParameterError, RegimeError
 from .second_laws import BatterySpec, TransitionInstance
-from .nano import carnot_efficiency, omega_single, quasistatic_efficiency
+from .nano import _regime, carnot_efficiency
 from .thermo import (
     DiagonalState,
     EnergySpectrum,
@@ -95,8 +95,8 @@ def chi(state: CorrelatedFinalState, eps: float, beta_h: float) -> float:
     """
     if not 0.0 <= eps < 1.0:
         raise ParameterError("eps must lie in [0, 1)")
-    if beta_h <= 0:
-        raise ParameterError("beta_h must be positive")
+    if not 0 < beta_h < math.inf:
+        raise ParameterError("beta_h must be positive and finite")
     return (_entropy(state.no_corr) - _entropy(state.mixture)) / (beta_h * (1.0 - eps))
 
 
@@ -217,8 +217,8 @@ def correlated_bound_check(
     the quasi-static step is reported (a necessary condition for approaching
     Carnot at all).
     """
-    om = omega_single(e_gap, beta_c, beta_h)
-    if om <= 1.0:
+    verdict = _regime(e_gap, beta_c, beta_h)
+    if verdict.carnot_achievable:
         raise RegimeError("the correlated bound check targets the Omega > 1 regime")
     if not (0 < g < beta_c - beta_h):
         raise ParameterError("need 0 < g < beta_c - beta_h")
@@ -238,7 +238,6 @@ def correlated_bound_check(
     d_cold = float(
         state_moments(cold_final)[0] - state_moments(cold_initial)[0]
     )
-    eta_reduced = quasistatic_efficiency(beta_c, beta_h, om)
     eta_carnot = carnot_efficiency(beta_c, beta_h)
     etas = []
     for _ in range(samples):
@@ -249,12 +248,12 @@ def correlated_bound_check(
     etas_t = tuple(float(x) for x in etas)
     return CorrelatedBoundReport(
         etas=etas_t,
-        eta_reduced=float(eta_reduced),
+        eta_reduced=verdict.eta_quasistatic,
         eta_carnot=float(eta_carnot),
         k=k,
         k_over_g=float(ratio_here),
         k_vanishes_faster=bool(vanishes),
-        all_below_reduced_band=all(e <= eta_reduced + ETA_BAND for e in etas_t),
+        all_below_reduced_band=all(e <= verdict.eta_quasistatic + ETA_BAND for e in etas_t),
         all_below_carnot_margin=all(e <= eta_carnot - 5e-2 for e in etas_t),
     )
 
@@ -292,6 +291,8 @@ class GeneralBatteryResult:
 
 def eps_hat(beta_h: float, e_max: float, e_j: float) -> float:
     """Failure-probability threshold [1 + exp(beta_h (E_max - E_j))]^-1."""
+    if not 0 < beta_h < math.inf:
+        raise ParameterError("beta_h must be positive and finite")
     return float(math.exp(-np.logaddexp(0.0, beta_h * (e_max - e_j))))
 
 

@@ -139,8 +139,8 @@ def thermal_optimality_check(
     a smaller relative entropy to the hot reference than the thermal state at
     beta'. Smaller relative entropy at fixed mean energy would mean more work.
     """
-    if not (beta_c > beta_h > 0):
-        raise ParameterError("need beta_c > beta_h > 0")
+    if not math.inf > beta_c > beta_h > 0:
+        raise ParameterError("need finite beta_c > beta_h > 0")
     beta_prime = find_beta_for_mean_shift(spectrum, beta_c, beta_h, delta_c_target)
     tau_h = thermal_state(spectrum, beta_h)
     target_mean = _mean_energy(spectrum, beta_c) + delta_c_target
@@ -189,8 +189,8 @@ def derivative_identities(
     Checked at beta_f: d<H>/db = -var, dS/db = -b*var, d(mean-energy shift)/db
     = -var, and dW/db = ((beta_h - beta_f)/beta_h) * var.
     """
-    if beta_f <= 0 or beta_h <= 0:
-        raise ParameterError("temperatures must be positive")
+    if not 0 < beta_f < math.inf or not 0 < beta_h < math.inf:
+        raise ParameterError("inverse temperatures must be positive and finite")
     if beta_f - FD_STEP <= 0:
         raise ParameterError("finite-difference step too large for this beta_f")
     tau_h = thermal_state(spectrum, beta_h)
@@ -228,6 +228,8 @@ def quasi_static_instance(
     spectrum: EnergySpectrum, beta_c: float, beta_h: float, g: float, eps: float, copies: int = 1
 ) -> TransitionInstance:
     """Instance whose final cold state is thermal at beta_c - g."""
+    if not math.inf > beta_c > beta_h > 0:
+        raise ParameterError("need finite beta_c > beta_h > 0")
     if not (0 < g < beta_c - beta_h):
         raise RegimeError(f"need 0 < g < beta_c - beta_h, got g={g}")
     return TransitionInstance(

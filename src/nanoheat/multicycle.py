@@ -13,7 +13,7 @@ from typing import Sequence, Tuple
 
 from .errors import ParameterError, RegimeError
 from .macro import efficiency_breakdown, quasi_static_instance
-from .nano import EpsilonFamily, carnot_efficiency, gamma, omega_single
+from .nano import EpsilonFamily, _regime, carnot_efficiency, gamma
 from .thermo import EnergySpectrum, binary_entropy
 
 #: Default cycle-count schedule for convergence reports (desk-scale runtime).
@@ -69,7 +69,7 @@ def plan_cycles(
         raise ParameterError("n_cycles must be a positive integer")
     if not 0.0 < kappa_bar < 1.0:
         raise ParameterError("decay exponent must lie in (0, 1)")
-    if omega_single(e_gap, beta_c, beta_h) > 1.0:
+    if not _regime(e_gap, beta_c, beta_h).carnot_achievable:
         raise RegimeError("multi-cycle aggregation is stated for Omega <= 1 only")
     gamma_k = gamma(e_gap, beta_c, beta_h, kappa_bar)
     g = beta_h * w_target / (gamma_k * n_cycles)

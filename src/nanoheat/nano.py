@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -141,8 +141,8 @@ def estimate_kappa_bar(family: EpsilonFamily) -> float:
 def _check_qubit_params(e_gap: float, beta_c: float, beta_h: float):
     if not 0.0 < e_gap < math.inf:  # nan fails too
         raise ParameterError("qubit gap must be positive and finite")
-    if not (beta_c > beta_h > 0):
-        raise ParameterError("need beta_c > beta_h > 0")
+    if not math.inf > beta_c > beta_h > 0:
+        raise ParameterError("need finite beta_c > beta_h > 0")
 
 
 def _ln_k(e_gap: float, beta_c: float, beta_h: float, a):
@@ -334,23 +334,16 @@ CASE_EQ2 = "CASE_EQ2"
 _CASE_BOUNDARY_TOL = 1e-2
 
 
-def case_label(indicator: float) -> str:
-    """The sign-pattern case of a tanh indicator: its side of 2, or 2 itself."""
-    if abs(indicator - 2.0) <= 1e-12:
-        return CASE_EQ2
-    return CASE_GT2 if indicator > 2.0 else CASE_LT2
-
-
 def carnot_efficiency(beta_c: float, beta_h: float) -> float:
     """1 - beta_h/beta_c, the Carnot efficiency between the two baths."""
     return 1.0 - beta_h / beta_c
 
 
-def quasistatic_efficiency(beta_c: float, beta_h: float, gamma_1: float, gamma_target: float = 1.0) -> float:
+def quasistatic_efficiency(beta_c: float, beta_h: float, gamma_1: float, gamma_target: float) -> float:
     """1 / (1 + beta_h/(beta_c-beta_h) * gamma(1)/gamma(target)).
 
-    The classifier passes max(1, Omega) as ``gamma_1`` with the default target
-    of 1, which is the same ratio; dividing by 1 is exact.
+    `_regime` passes max(1, Omega) as ``gamma_1`` with a target of 1, which is
+    the same ratio; dividing by 1 is exact.
     """
     return 1.0 / (1.0 + beta_h / (beta_c - beta_h) * gamma_1 / gamma_target)
 
@@ -365,19 +358,35 @@ class RegimeClassification:
     g_sign_changes: Tuple[float, ...] = ()
 
 
-def classify_regime(e_gap: float, beta_c: float, beta_h: float) -> RegimeClassification:
-    """Omega, the indicator-vs-2 case label, and the quasi-static efficiency.
+def _regime(e_gap: float, beta_c: float, beta_h: float) -> RegimeClassification:
+    """The Carnot verdict for a qubit cold bath, without the sign changes.
 
-    The quasi-static efficiency is Carnot when Omega <= 1 and the reduced
-    value (1 + beta_h/(beta_c-beta_h) * Omega)^-1 otherwise. Sign changes of
-    the derivative-sign function are located by bisection on [1e-3, 1e3]
-    (excluding the removable zero at order 1) and checked against the case
-    label; an impossible pattern raises.
+    Omega, the tanh indicator and its case label (the indicator's side of 2,
+    or 2 itself), whether Carnot is attainable (Omega <= 1), and the
+    quasi-static efficiency: Carnot when Omega <= 1 and the reduced value
+    (1 + beta_h/(beta_c-beta_h) * Omega)^-1 otherwise. Every reader of the
+    verdict in the package calls this.
     """
     om = omega_single(e_gap, beta_c, beta_h)
     ind = tanh_indicator(e_gap, beta_c, beta_h)
-    case = case_label(ind)
-    eta = quasistatic_efficiency(beta_c, beta_h, max(1.0, om))
+    return RegimeClassification(
+        omega=float(om),
+        tanh_indicator=float(ind),
+        g_case=CASE_EQ2 if abs(ind - 2.0) <= 1e-12 else CASE_GT2 if ind > 2.0 else CASE_LT2,
+        carnot_achievable=om <= 1.0,
+        eta_quasistatic=float(quasistatic_efficiency(beta_c, beta_h, max(1.0, om), 1.0)),
+    )
+
+
+def classify_regime(e_gap: float, beta_c: float, beta_h: float) -> RegimeClassification:
+    """The verdict of `_regime` with the sign changes of gamma's derivative.
+
+    Sign changes of the derivative-sign function are located by bisection on
+    [1e-3, 1e3] (excluding the removable zero at order 1) and checked against
+    the case label; an impossible pattern raises.
+    """
+    verdict = _regime(e_gap, beta_c, beta_h)
+    ind, case = verdict.tanh_indicator, verdict.g_case
 
     vals = g_function(e_gap, beta_c, beta_h, SIGN_GRID)
     grid, positive = SIGN_GRID.tolist(), (vals > 0).tolist()
@@ -413,14 +422,7 @@ def classify_regime(e_gap: float, beta_c: float, beta_h: float) -> RegimeClassif
         raise NumericalInconsistencyError(
             f"sign pattern of the gamma derivative contradicts {case}: roots {roots}"
         )
-    return RegimeClassification(
-        omega=float(om),
-        tanh_indicator=float(ind),
-        g_case=case,
-        carnot_achievable=om <= 1.0,
-        eta_quasistatic=float(eta),
-        g_sign_changes=tuple(float(r) for r in roots),
-    )
+    return replace(verdict, g_sign_changes=tuple(float(r) for r in roots))
 
 
 def estimate_nu(e_gap: float, beta_c: float, beta_h: float) -> float:
@@ -431,7 +433,7 @@ def estimate_nu(e_gap: float, beta_c: float, beta_h: float) -> float:
     says infinity. For Omega <= 1 the identity holds for every cutoff, so 0 is
     returned. Reported, never asserted: only existence is guaranteed.
     """
-    if omega_single(e_gap, beta_c, beta_h) <= 1.0:
+    if _regime(e_gap, beta_c, beta_h).carnot_achievable:
         return 0.0
     ginf = gamma_infinity(e_gap, beta_c, beta_h)
 
@@ -497,8 +499,8 @@ class QuasiStaticConfig:
     family: EpsilonFamily
 
     def __post_init__(self):
-        if not (self.beta_c > self.beta_h > 0):
-            raise ParameterError("need beta_c > beta_h > 0")
+        if not math.inf > self.beta_c > self.beta_h > 0:
+            raise ParameterError("need finite beta_c > beta_h > 0")
         if not (0 < self.g < self.beta_c - self.beta_h):
             raise ParameterError("need 0 < g < beta_c - beta_h")
 
@@ -548,14 +550,14 @@ def quasistatic_engine(cfg: QuasiStaticConfig) -> QuasiStaticResult:
     """
     e_gap = _identical_gap(cfg.bath)
     n = cfg.bath.n
-    om = omega_single(e_gap, cfg.beta_c, cfg.beta_h)
+    verdict = _regime(e_gap, cfg.beta_c, cfg.beta_h)
     eps = cfg.family.eval(cfg.g)
     kb = cfg.kappa_bar
     if kb > 1.0:
         raise RegimeError("decay exponents above 1 do not extract near perfect work")
 
     g1 = gamma_one(e_gap, cfg.beta_c, cfg.beta_h)
-    if om <= 1.0:
+    if verdict.carnot_achievable:
         gamma_target = gamma(e_gap, cfg.beta_c, cfg.beta_h, kb) if kb > 0 else 0.0
     else:
         gamma_target = gamma_infinity(e_gap, cfg.beta_c, cfg.beta_h)
@@ -577,7 +579,7 @@ def quasistatic_engine(cfg: QuasiStaticConfig) -> QuasiStaticResult:
         eta_predicted=float(eta_pred),
         eta_numeric=float(eta_num),
         argmin_alpha=solved.argmin_alpha,
-        omega=float(om),
+        omega=verdict.omega,
         band=float(band),
         work_within_band=bool(work_ok),
         eta_within_band=bool(eta_ok),

@@ -526,8 +526,8 @@ def transition_feasible(rho0: DiagonalState, rho1: DiagonalState, beta_h: float)
     """
     if rho0.spectrum != rho1.spectrum:
         raise ParameterError("states live on different spectra")
-    if beta_h <= 0:
-        raise ParameterError("beta_h must be positive")
+    if not 0 < beta_h < math.inf:
+        raise ParameterError("beta_h must be positive and finite")
     h0, h1 = _gibbs_pair(rho0, rho1, beta_h)
     _check_pair(rho0, h0.tau)
     r0, r1 = h0.logs, h1.logs

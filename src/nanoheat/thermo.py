@@ -132,8 +132,8 @@ class EnergySpectrum:
 
     def log_partition(self, beta: float) -> float:
         """ln Z(beta) = ln sum_i exp(-beta * E_i)."""
-        if beta <= 0:
-            raise ParameterError(f"beta must be positive, got {beta}")
+        if not 0 < beta < math.inf:
+            raise ParameterError(f"beta must be positive and finite, got {beta}")
         return float(logsumexp(-beta * self.array))
 
 
@@ -279,8 +279,8 @@ def thermal_state(spectrum: EnergySpectrum, beta: float) -> DiagonalState:
     The exponent is shifted by the smallest level so that beta*E up to a few
     hundred stays representable.
     """
-    if not (isinstance(beta, (int, float)) and beta > 0):
-        raise ParameterError(f"beta must be positive, got {beta!r}")
+    if not (isinstance(beta, (int, float)) and 0 < beta < math.inf):
+        raise ParameterError(f"beta must be positive and finite, got {beta!r}")
     return DiagonalState(_gibbs_probs(spectrum, beta), spectrum)
 
 

@@ -3,9 +3,11 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from nanoheat.cli import SWEEP_HEADER, run_command, write_csv
+from nanoheat import classify_regime
+from nanoheat.cli import SWEEP_HEADER, _fmt, run_command, write_csv
 
 
 def read(path):
@@ -96,6 +98,21 @@ def test_readme_sweeps_match_golden_files(tmp_path, mode):
     assert run_command(["sweep", *README_SWEEPS[mode], "--output", str(out)]) == 0
     golden = pathlib.Path(__file__).parent / "data" / f"curve_{mode}.csv"
     assert read(out) == read(golden)
+
+
+@pytest.mark.parametrize("mode", sorted(README_SWEEPS))
+def test_readme_sweep_rows_carry_the_classifier_verdict(mode):
+    # the omega, eta_nano and regime_case cells of every golden row
+    opts = dict(zip(README_SWEEPS[mode][::2], README_SWEEPS[mode][1::2]))
+    held = {k: float(v) for k, v in opts.items() if k in ("--e-min", "--t-hot", "--t-cold")}
+    varied = {"energy": "--e-min", "tcold": "--t-cold", "thot": "--t-hot"}[mode]
+    xs = np.linspace(float(opts["--lo"]), float(opts["--hi"]), int(opts["--steps"])).tolist()
+    _, rows = rows_of(pathlib.Path(__file__).parent / "data" / f"curve_{mode}.csv")
+    assert len(rows) == len(xs)
+    for x, row in zip(xs, rows):
+        point = {**held, varied: x}
+        cls = classify_regime(point["--e-min"], 1.0 / point["--t-cold"], 1.0 / point["--t-hot"])
+        assert [row[1], row[2], row[4]] == [_fmt(cls.omega), _fmt(cls.eta_quasistatic), cls.g_case]
 
 
 def test_sweep_temperature_modes_flag_invalid_points(tmp_path):
@@ -413,12 +430,15 @@ def test_a_config_run_leaves_no_defaults_behind(tmp_path):
         ("mode = bogus\n", "argument --mode: invalid choice: 'bogus' (choose from 'energy', 'tcold', 'thot')"),
         ("t-hot = 0\n", "argument --t-hot: must be positive, got '0'"),
         ("g = 1e-3\njunk\n", "{conf}:2: expected key=value, got 'junk\\n'"),
+        ("g = 1e-3\xff\n", "cannot read config file: 'utf-8' codec can't decode byte 0xff "
+                            "in position 8: invalid start byte"),
     ],
-    ids=["unknown-key", "other-command-bad-float", "bad-choice", "not-positive", "no-equals"],
+    ids=["unknown-key", "other-command-bad-float", "bad-choice", "not-positive", "no-equals",
+         "not-utf-8"],
 )
 def test_config_errors_keep_their_messages(tmp_path, capsys, lines, message):
     conf = tmp_path / "run.conf"
-    conf.write_text(lines, encoding="utf-8")
+    conf.write_text(lines, encoding="latin-1")  # one byte per character, 0xff for \xff
     assert run_command(["classify", "--config", str(conf), "--e", "45", "--t-hot", "15",
                         "--t-cold", "10"]) == 1
     assert capsys.readouterr().err == f"config error: {message.format(conf=conf)}\n"

@@ -49,6 +49,13 @@ def test_chi_positive_with_correlations():
         assert chi(st, 0.01, BH) > 1e-10
 
 
+def test_chi_rejects_non_finite_beta():
+    st, _, _ = sample(make_rng(40))
+    for beta_h in (math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            chi(st, 1e-8, beta_h)
+
+
 def test_chi_convex_in_mixing_weight():
     rng = make_rng(42)
     st, _, _ = sample(rng, eps=0.1, k=1.0)
@@ -140,6 +147,9 @@ def make_instance(eps, e_gap=45.0, g=1e-3, k_index=10):
 
 def test_eps_hat_frozen_value():
     assert eps_hat(1 / 15, 15.0, 0.0) == pytest.approx(0.2689414213699951, abs=1e-15)
+    for beta_h in (-1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            eps_hat(beta_h, 15.0, 0.0)
 
 
 def test_general_battery_equality_below_threshold():

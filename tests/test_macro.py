@@ -155,6 +155,14 @@ def test_beta_bisection_rejects_a_nan_target():
 
 # --- derivative identities ---------------------------------------------------
 
+def test_inverse_temperatures_must_be_finite():
+    for args in ((math.inf, 0.4), (0.7, math.inf), (math.nan, 0.4), (0.7, math.nan)):
+        with pytest.raises(ParameterError):
+            derivative_identities(QUBIT, *args)
+    with pytest.raises(ParameterError):
+        thermal_optimality_check(QUBIT, math.inf, 0.5, 0.05, trials=5)
+
+
 def test_derivatives_qubit_at_log2():
     rep = derivative_identities(QUBIT, math.log(2), 0.4)
     mean_id = rep.identities[0]
@@ -200,6 +208,9 @@ def test_carnot_limit_monotone_in_g():
 def test_carnot_limit_out_of_regime():
     with pytest.raises(RegimeError):
         macro_carnot_limit(QUBIT, 1.0, 0.5, [0.6])
+    for beta_c, beta_h in ((math.nan, 0.5), (1.0, math.nan)):  # an input error, not a regime
+        with pytest.raises(ParameterError):
+            macro_carnot_limit(QUBIT, beta_c, beta_h, [0.01])
 
 
 @pytest.mark.parametrize("g_list", [[1e-3, 1e-3], [1e-4, 1e-3]])

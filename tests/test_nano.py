@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 import warnings
@@ -7,6 +8,7 @@ import pytest
 
 from nanoheat import (
     DichotomyViolationError,
+    correlated_bound_check,
     EnergySpectrum,
     EpsilonFamily,
     ParameterError,
@@ -23,6 +25,7 @@ from nanoheat import (
     near_perfect_ratio,
     omega,
     omega_single,
+    plan_cycles,
     quasistatic_engine,
     state_moments,
     tanh_indicator,
@@ -40,6 +43,7 @@ from nanoheat.nano import (
     gamma_one,
 )
 from nanoheat import nano, second_laws
+from nanoheat.cli import _fmt, run_command
 from nanoheat.second_laws import _bisect
 
 from conftest import make_rng
@@ -100,6 +104,7 @@ def test_b_alpha_prime_positive():
     (15.0, BH, BC, 2.0),  # temperatures
     (15.0, BC, BH, -1.0),  # order
     (15.0, BC, BH, np.array([0.5, 2.0, -1.0])),
+    (15.0, math.inf, BH, 2.0),  # the cold bath at zero temperature
 ])
 def test_qubit_closed_forms_share_one_input_check(reader, args):
     with pytest.raises(ParameterError):
@@ -453,6 +458,35 @@ def test_regime_roots_and_nu_batch_their_bisection(monkeypatch):
     assert roots > 50 and bisected > 20
 
 
+def test_every_reader_gives_one_verdict_at_the_omega_crossing(tmp_path):
+    # the adjacent gaps E_lo (Omega <= 1) and E_hi (Omega > 1) at T = (15, 10)
+    e = _bisect(lambda x: omega_single(x, BC, BH) <= 1.0, 1.0, 60.0)
+    e_lo = e if omega_single(e, BC, BH) <= 1.0 else math.nextafter(e, 0.0)
+    e_hi = math.nextafter(e_lo, math.inf)
+    assert omega_single(e_lo, BC, BH) <= 1.0 < omega_single(e_hi, BC, BH)
+    out = tmp_path / "crossing.csv"  # linspace keeps both endpoints exactly
+    assert run_command(["sweep", "--mode", "energy", "--t-hot", "15", "--t-cold", "10", "--lo",
+                        repr(e_lo), "--hi", repr(e_hi), "--steps", "2", "--output", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 2
+    for gap, carnot, row in zip((e_lo, e_hi), (True, False), rows):
+        cls = classify_regime(gap, BC, BH)
+        assert cls.carnot_achievable is carnot
+        assert [row[1], row[2], row[4]] == [_fmt(cls.omega), _fmt(cls.eta_quasistatic), cls.g_case]
+        nu = estimate_nu(gap, BC, BH)
+        assert nu == 0.0 if carnot else nu > 0.0
+        cfg = QuasiStaticConfig(QubitBath((gap,)), BC, BH, 1e-5, EpsilonFamily.power(1.0, 0.5))
+        target = gamma(gap, BC, BH, 0.5) if carnot else gamma_infinity(gap, BC, BH)
+        assert quasistatic_engine(cfg).w_ext_predicted == 1e-5 / BH * target
+        # multi-cycle plans need Omega <= 1, the correlated bound check Omega > 1
+        plan = functools.partial(plan_cycles, 1.0, gap, BC, BH, 0.5, 1000)
+        check = functools.partial(correlated_bound_check, gap, BC, BH, 1e-4, lambda g: g * g, 1)
+        allowed, refused = (plan, check) if carnot else (check, plan)
+        allowed()
+        with pytest.raises(RegimeError):
+            refused()
+
+
 # --- epsilon families --------------------------------------------------------
 
 def test_family_exponential():
@@ -608,6 +642,7 @@ def test_ratio_rejects_mixed_gaps_even_without_steps(g_list):
     (BC, BH, 0.05),
     (BH, BH, 1e-5),  # equal temperatures
     (BH, BC, 1e-5),  # the cold bath is the hotter one
+    (math.inf, BH, 1e-5),  # the cold bath at zero temperature
 ])
 def test_config_rejects_steps_and_temperatures_out_of_bounds(beta_c, beta_h, g):
     with pytest.raises(ParameterError):

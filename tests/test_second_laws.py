@@ -802,6 +802,9 @@ def test_validation_negative_paths():
     skew = DiagonalState((0.9, 0.1), QUBIT)
     with pytest.raises(ParameterError):
         TransitionInstance(skew, t, 0.5, 1.0, battery(0.1))  # start not thermal
+    for beta_h in (math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            transition_feasible(t, t, beta_h)
 
 
 def test_perfect_work_randomized_sweep():

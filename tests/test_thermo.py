@@ -229,6 +229,10 @@ def test_free_energy_rejects_wrong_reference():
     for beta_h in (math.nan, math.inf):
         with pytest.raises(ParameterError):
             alpha_free_energy(rho, rho, 1.0, beta_h)
+        with pytest.raises(ParameterError):
+            thermal_state(QUBIT, beta_h)
+        with pytest.raises(ParameterError):
+            QUBIT.log_partition(beta_h)
 
 
 def test_thermal_minimizes_order1_free_energy():
