@@ -438,6 +438,31 @@ def schedule_records(rec):
             15.0, beta_c, beta_h, np.array(orders)).tolist())
 
 
+def search_edge_records(rec):
+    """Root searches where the values guess the root worst: nu near the 1e-8
+    floor (about 80 bisection steps), g-roots within one sign-grid step of 1e-3
+    and of 1e3, and g-roots in the brackets next to the order-1 seam. Then the
+    sample counts, trial counts and family parameters the package rejects."""
+    beta_c, beta_h = 0.1, 1.0 / 15.0
+    for e in (535.0, 545.0, 550.0):
+        rec(f"nu near the floor({e!r})", nh.estimate_nu, e, beta_c, beta_h)
+    for e, b_c, b_h in ((1030.0, 1.0, 0.05), (1050.0, 1.0, 0.05), (0.3045, beta_c, beta_h),
+                        (0.3055, beta_c, beta_h)):
+        rec(f"grid end classify({e!r}, {b_c!r}, {b_h!r})", nh.classify_regime, e, b_c, b_h)
+    for e in (57.0, 57.5, 58.0, 62.5, 63.0, 63.5):
+        rec(f"next to the seam classify({e!r})", nh.classify_regime, e, beta_c, beta_h)
+
+    qubit = nh.EnergySpectrum((0.0, 1.0))
+    for n in (0, -3, 2.5, math.nan):
+        rec(f"correlated_bound_check(samples={n!r})", nh.correlated_bound_check,
+            45.0, beta_c, beta_h, 1e-4, lambda g: g * g, samples=n)
+        rec(f"thermal_optimality_check(trials={n!r})", nh.thermal_optimality_check,
+            qubit, 1.0, 0.5, 0.05, n)
+    for c, k in ((math.inf, 0.5), (1.0, math.inf)):
+        rec(f"estimate_kappa_bar(power({c!r}, {k!r}))",
+            lambda: nh.estimate_kappa_bar(nh.EpsilonFamily.power(c, k)))
+
+
 CLI_RUNS = {
     "sweep-energy": ["sweep", "--mode", "energy", "--t-hot", "15", "--t-cold", "10",
                      "--lo", "1", "--hi", "60", "--steps", "120"],
@@ -478,6 +503,8 @@ CLI_RUNS = {
     "classify-t-cold-subnormal": ["classify", "--e", "45", "--t-hot", "15", "--t-cold", "1e-320"],
     "classify-e-inf": ["classify", "--e", "inf", "--t-hot", "15", "--t-cold", "10"],
     "work-family-c-nan": ["work", "--e", "45", "--t-hot", "15", "--t-cold", "10", "--family-c", "nan"],
+    "work-family-c-inf": ["work", "--e", "45", "--t-hot", "15", "--t-cold", "10", "--family-c", "inf"],
+    "work-family-k-inf": ["work", "--e", "45", "--t-hot", "15", "--t-cold", "10", "--family-k", "inf"],
     "sweep-tcold-lo-nan": ["sweep", "--mode", "tcold", "--t-hot", "20", "--e-min", "15",
                            "--lo", "nan", "--hi", "19.5", "--steps", "3"],
     "sweep-energy-lo-nan": ["sweep", "--mode", "energy", "--t-hot", "15", "--t-cold", "10",
@@ -550,6 +577,7 @@ def main(argv):
         nonfinite_beta_records(rec)
         macro_extension_records(rec)
         schedule_records(rec)
+        search_edge_records(rec)
         cli_records(rec)
         help_records(rec)
     print(f"{rec.count} records -> {argv[0]}")

@@ -222,6 +222,8 @@ def correlated_bound_check(
         raise RegimeError("the correlated bound check targets the Omega > 1 regime")
     if not (0 < g < beta_c - beta_h):
         raise ParameterError("need 0 < g < beta_c - beta_h")
+    if not (isinstance(samples, int) and samples >= 1):
+        raise ParameterError("samples must be a positive integer")
     k = float(k_of_g(g))
     if not 0.0 <= k <= 1.0:
         raise ParameterError("correlation weight must lie in [0, 1]")

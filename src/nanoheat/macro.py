@@ -141,6 +141,8 @@ def thermal_optimality_check(
     """
     if not math.inf > beta_c > beta_h > 0:
         raise ParameterError("need finite beta_c > beta_h > 0")
+    if not (isinstance(trials, int) and trials >= 1):
+        raise ParameterError("trials must be a positive integer")
     beta_prime = find_beta_for_mean_shift(spectrum, beta_c, beta_h, delta_c_target)
     tau_h = thermal_state(spectrum, beta_h)
     target_mean = _mean_energy(spectrum, beta_c) + delta_c_target

@@ -74,6 +74,8 @@ class EpsilonFamily:
             raise ParameterError(f"unknown family kind {self.kind!r}")
         if not (self.c > 0 and self.k > 0):
             raise ParameterError("family parameters must be positive")
+        if not (self.c < math.inf and self.k < math.inf):
+            raise ParameterError("family parameters must be finite")
 
     @classmethod
     def exponential(cls) -> "EpsilonFamily":
@@ -389,16 +391,18 @@ def classify_regime(e_gap: float, beta_c: float, beta_h: float) -> RegimeClassif
     ind, case = verdict.tanh_indicator, verdict.g_case
 
     vals = g_function(e_gap, beta_c, beta_h, SIGN_GRID)
-    grid, positive = SIGN_GRID.tolist(), (vals > 0).tolist()
+    grid, values = SIGN_GRID.tolist(), vals.tolist()
     depth = _speculation_depth(2)  # the closed forms cost about what a qubit curve does
     roots = []
-    for a, b, up, up_b in zip(grid[:-1], grid[1:], positive[:-1], positive[1:]):
+    for a, b, va, vb in zip(grid[:-1], grid[1:], values[:-1], values[1:]):
         if a < 1.0 < b:
             continue  # bracket spanning the excluded seam
-        if up != up_b:
+        up = va > 0
+        if up != (vb > 0):
             # the root lies above x while g(x) keeps the sign g has at a
             roots.append(_bisect_many(
-                lambda xs: ((g_function(e_gap, beta_c, beta_h, xs) > 0) == up).tolist(), a, b, depth
+                lambda xs: g_function(e_gap, beta_c, beta_h, xs).tolist(), a, b, depth,
+                lambda v: (v > 0) == up, (va, vb),
             ))
     below = [r for r in roots if r < 1.0]
     above = [r for r in roots if r > 1.0]
@@ -441,10 +445,12 @@ def estimate_nu(e_gap: float, beta_c: float, beta_h: float) -> float:
         return gamma(e_gap, beta_c, beta_h, k) - ginf
 
     lo = 1e-8
-    if f(lo) > 0:
+    f_lo = f(lo)
+    if f_lo > 0:
         return 0.0
     # the root lies above k while gamma(k) is not above its limit (nan is not)
-    return _bisect_many(lambda ks: (~(f(ks) > 0)).tolist(), lo, 1.0 - 1e-9, _speculation_depth(2))
+    return _bisect_many(lambda ks: f(ks).tolist(), lo, 1.0 - 1e-9, _speculation_depth(2),
+                        lambda v: not v > 0, (f_lo, math.nan))
 
 
 def infimum_location(e_gap: float, beta_c: float, beta_h: float, kappa_bar: float) -> Alpha:

@@ -340,11 +340,14 @@ def test_nonphysical_temperatures_and_gaps_are_config_errors(argv, capsys):
         ["sweep", "--mode", "thot", "--t-cold", "5", "--e-min", "15", "--lo", "5.5",
          "--hi", "inf", "--steps", "3", "--output", "unused.csv"],
         ["work", "--e", "45", "--t-hot", "15", "--t-cold", "10", "--family-c", "nan"],
+        ["work", "--e", "45", "--t-hot", "15", "--t-cold", "10", "--family-c", "inf"],
+        ["work", "--e", "45", "--t-hot", "15", "--t-cold", "10", "--family-k", "inf"],
     ],
     ids=["feasible-longer-p1", "feasible-shorter-p1", "work-g-out-of-regime", "work-g-nan",
          "sweep-g-nan", "multicycle-fractional-n", "multicycle-w-nan", "multicycle-w-inf",
          "sweep-tcold-lo-nan",
-         "sweep-energy-lo-nan", "sweep-thot-hi-inf", "work-family-c-nan"],
+         "sweep-energy-lo-nan", "sweep-thot-hi-inf", "work-family-c-nan", "work-family-c-inf",
+         "work-family-k-inf"],
 )
 def test_malformed_lists_steps_and_cycle_counts_are_config_errors(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -352,6 +355,12 @@ def test_malformed_lists_steps_and_cycle_counts_are_config_errors(argv, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert not (tmp_path / "unused.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--family-c", "--family-k"])
+def test_infinite_family_parameters_are_named_in_the_error(flag, capsys):
+    assert run_command(["work", "--e", "45", "--t-hot", "15", "--t-cold", "10", flag, "inf"]) == 1
+    assert capsys.readouterr().err == "config error: family parameters must be finite\n"
 
 
 @pytest.mark.parametrize(

@@ -116,6 +116,13 @@ def test_correlated_bound_flags_constant_ratio():
     assert not rep.k_vanishes_faster
 
 
+@pytest.mark.parametrize("samples", [0, -3, 2.5, math.nan])
+def test_correlated_bound_needs_a_positive_sample_count(samples):
+    # no samples would pass both verdicts vacuously
+    with pytest.raises(ParameterError):
+        correlated_bound_check(45.0, BC, BH, 1e-4, lambda g: g * g, samples=samples)
+
+
 def test_correlated_bound_requires_reduced_regime():
     with pytest.raises(RegimeError):
         correlated_bound_check(15.0, BC, BH, 1e-4, lambda g: g * g, samples=1)

@@ -120,6 +120,13 @@ def test_thermal_optimality_three_level():
     assert rep.passed
 
 
+@pytest.mark.parametrize("trials", [0, -3, 2.5, math.nan])
+def test_thermal_optimality_needs_a_positive_trial_count(trials):
+    # no trials would pass vacuously
+    with pytest.raises(ParameterError):
+        thermal_optimality_check(QUBIT, 1.0, 0.5, 0.05, trials=trials)
+
+
 def test_thermal_optimality_unreachable_target():
     with pytest.raises(ParameterError):
         thermal_optimality_check(QUBIT, 1.0, 0.5, 10.0, trials=10)

@@ -407,10 +407,10 @@ def test_batched_roots_match_the_one_point_bisection(monkeypatch):
     roots = []
     batched = nano._bisect_many
 
-    def spy(above_many, lo, hi, depth):
+    def spy(f_many, lo, hi, depth, above, ends):
         assert depth == second_laws._speculation_depth(2) == 6
-        root = batched(above_many, lo, hi, depth)
-        assert root == _bisect(lambda x: above_many([x])[0], lo, hi)
+        root = batched(f_many, lo, hi, depth, above, ends)
+        assert root == _bisect(lambda x: above(f_many([x])[0]), lo, hi)
         roots.append(root)
         return root
 
@@ -456,6 +456,29 @@ def test_regime_roots_and_nu_batch_their_bisection(monkeypatch):
             assert calls["gamma"] <= 15
             bisected += 1
     assert roots > 50 and bisected > 20
+
+
+def test_regime_roots_and_nu_take_about_three_calls(monkeypatch):
+    # the values guide each call to the path the search takes: against a tree
+    # of the next 6 steps alone, 8.0 calls per g-root and about 10 per nu-root
+    calls = {}
+    for name in ("g_function", "gamma"):
+        def counted(*args, _fn=getattr(nano, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(nano, name, counted)
+    g_roots = g_calls = nu_roots = nu_calls = 0
+    for cell in regime_map_cells(make_rng(43), 100):
+        calls.update(g_function=0, gamma=0)
+        g_roots += len(classify_regime(*cell).g_sign_changes)
+        g_calls += calls["g_function"] - 1  # the sign grid
+        if estimate_nu(*cell) > 0.0:
+            nu_roots += 1
+            nu_calls += calls["gamma"] - 1  # the lower end 1e-8
+    assert g_roots > 50 and nu_roots > 20
+    assert g_calls / g_roots <= 4.0
+    assert nu_calls / nu_roots <= 4.5
 
 
 def test_every_reader_gives_one_verdict_at_the_omega_crossing(tmp_path):
@@ -512,7 +535,7 @@ def test_family_range_errors():
         EpsilonFamily.power(2.0, 1.0).eval(0.9)  # eps >= 1
     with pytest.raises(ParameterError):
         EpsilonFamily.exponential().eval(1e-3)  # underflow to 0
-    for c, k in ((math.nan, 0.5), (1.0, math.nan)):
+    for c, k in ((math.nan, 0.5), (1.0, math.nan), (math.inf, 0.5), (1.0, math.inf)):
         with pytest.raises(ParameterError):
             EpsilonFamily.power(c, k)
     for family in (EpsilonFamily.exponential(), EpsilonFamily.log_linear(), EpsilonFamily.power()):

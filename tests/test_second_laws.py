@@ -471,6 +471,73 @@ def test_batched_bisection_replays_the_one_point_search(predicate, bracket, dept
     assert set(visits) <= {x for batch in batches for x in batch}
 
 
+def tree_only_bisect_many(above_many, lo, hi, depth):
+    """Reference: the batched bisection before its values guided the calls, one
+    tree of the next ``depth`` steps per call."""
+    known = {}
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if mid not in known:
+            points = second_laws._bisection_tree(lo, hi, depth)
+            known.update(zip(points, above_many(points)))
+        if known[mid]:
+            lo = mid
+        else:
+            hi = mid
+
+
+NOISE = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-300, -1.0, 1.0, 1e300, -1e300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lo=st.floats(min_value=-1e3, max_value=1e3),
+    width=st.floats(min_value=1e-12, max_value=1e3),
+    where=st.floats(min_value=0.0, max_value=1.0),
+    band=st.integers(min_value=0, max_value=600),
+    scale=st.floats(min_value=1e-300, max_value=1e300),
+    bend=st.floats(min_value=-0.9, max_value=10.0),
+    up=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32),
+    hi_known=st.booleans(),
+    depth=st.sampled_from([1, 2, 6]),
+)
+def test_guided_bisection_replays_the_one_point_search(lo, width, where, band, scale, bend, up,
+                                                       seed, hi_known, depth):
+    hi = lo + width
+    root = lo + where * (hi - lo)
+    noisy = band * math.ulp(root)
+
+    def value(x):
+        # a curved function with its sign change at root, answering at random
+        # within `band` ulps of it: wrong signs, NaN, infinities and zeros
+        if abs(x - root) <= noisy:
+            return NOISE[hash((x, seed)) % len(NOISE)]
+        t = (x - lo) / (hi - lo)
+        return (1.0 if up else -1.0) * scale * (root - x) * (1.0 + bend * t * t)
+
+    def above(v):
+        return (v > 0) == up
+
+    guided_calls, tree_calls = [], []
+
+    def f_many(points):
+        guided_calls.append(len(points))
+        return [value(x) for x in points]
+
+    def above_many(points):
+        tree_calls.append(len(points))
+        return [above(value(x)) for x in points]
+
+    ends = (value(lo), value(hi) if hi_known else math.nan)
+    expected = second_laws._bisect(lambda x: above(value(x)), lo, hi)
+    assert second_laws._bisect_many(f_many, lo, hi, depth, above, ends) == expected
+    assert tree_only_bisect_many(above_many, lo, hi, depth) == expected
+    assert len(guided_calls) <= len(tree_calls)
+
+
 def test_qubit_solve_batches_its_refinement(monkeypatch):
     calls = []
     curve = second_laws.work_curve_values
