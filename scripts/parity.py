@@ -345,6 +345,25 @@ def nonfinite_beta_records(rec):
     rec("quasi_static_instance(beta_c < beta_h)", nh.quasi_static_instance, qubit, beta_h, beta_c, 1e-3, 1e-6)
 
 
+def input_type_records(rec):
+    """Copy counts and steps g that are not positive integers or not > 0, numpy
+    scalar betas, and gamma profiles whose samples underflow to 0.0."""
+    beta_c, beta_h = 0.1, 1.0 / 15.0
+    gap = nh.EnergySpectrum((0.0, 15.0))
+    for copies in (2.5, math.nan, "2", True, 0, np.int64(2), 1):
+        rec(f"w_ext(copies={copies!r})", lambda: nh.max_extractable_work(
+            nh.quasi_static_instance(gap, beta_c, beta_h, 1e-5, 1e-10, copies=copies)).w_ext)
+    for g in (math.nan, 0.0, -1e-3, 0.05):
+        rec(f"quasi_static_instance(g={g!r})", nh.quasi_static_instance, gap, beta_c, beta_h, g, 1e-10)
+        rec(f"macro_carnot_limit(g={g!r})", nh.macro_carnot_limit, gap, beta_c, beta_h, (g,))
+    qubit = nh.EnergySpectrum((0.0, 1.0))
+    for b_c, b_h in ((np.float32(0.5), np.float32(0.25)), (np.int64(2), np.int64(1))):
+        rec(f"thermal_state({b_c!r})", nh.thermal_state, qubit, b_c)
+        rec(f"quasi_static_instance({b_c!r}, {b_h!r})", nh.quasi_static_instance, qubit, b_c, b_h, 0.05, 1e-6)
+    for e, b_c, b_h in ((800.0, 1.0, 1.0 / 60.0), (1e-300, beta_c, beta_h), (1e5, beta_c, beta_h)):
+        rec(f"gamma_profile({e!r}, {b_c!r}, {b_h!r})", nh.gamma_profile, e, b_c, b_h)
+
+
 def macro_extension_records(rec):
     rng = np.random.default_rng(42)
     for i in range(40):
@@ -575,6 +594,7 @@ def main(argv):
         nano_records(rec)
         verdict_records(rec)
         nonfinite_beta_records(rec)
+        input_type_records(rec)
         macro_extension_records(rec)
         schedule_records(rec)
         search_edge_records(rec)

@@ -232,11 +232,14 @@ def quasi_static_instance(
     """Instance whose final cold state is thermal at beta_c - g."""
     if not math.inf > beta_c > beta_h > 0:
         raise ParameterError("need finite beta_c > beta_h > 0")
-    if not (0 < g < beta_c - beta_h):
+    beta_c, beta_h = float(beta_c), float(beta_h)  # a numpy scalar must not set the precision
+    if not g > 0:  # NaN too: an input error, not a regime
+        raise ParameterError(f"need g > 0, got g={g}")
+    if not g < beta_c - beta_h:
         raise RegimeError(f"need 0 < g < beta_c - beta_h, got g={g}")
     return TransitionInstance(
         cold_initial=thermal_state(spectrum, beta_c),
-        cold_final=thermal_state(spectrum, beta_c - g),
+        cold_final=thermal_state(spectrum, beta_c - float(g)),
         beta_h=beta_h,
         beta_c=beta_c,
         battery=BatterySpec(EnergySpectrum((0.0, 1.0)), 0, 1, eps),

@@ -258,8 +258,8 @@ class GammaProfile:
     samples: Tuple[Tuple[float, float], ...]
 
     def __post_init__(self):
-        if any(v <= 0 for _, v in self.samples):
-            raise NumericalInconsistencyError("gamma must be positive at every sampled order")
+        if any(not v >= 0 for _, v in self.samples):  # 0.0 is an underflow, not a fault
+            raise NumericalInconsistencyError("gamma must be non-negative at every sampled order")
 
 
 def gamma_profile(e_gap: float, beta_c: float, beta_h: float) -> GammaProfile:

@@ -8,6 +8,7 @@ never materialized; it cancels exactly in every work formula below.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Tuple
@@ -118,9 +119,11 @@ class TransitionInstance:
     def __post_init__(self):
         if not (math.inf > self.beta_c > self.beta_h > 0):
             raise ParameterError("need finite beta_c > beta_h > 0")
+        for name in ("beta_h", "beta_c"):  # a numpy scalar must not set the precision
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.cold_final.spectrum != self.cold_initial.spectrum:
             raise ParameterError("initial and final cold states live on different spectra")
-        if self.copies < 1:
+        if isinstance(self.copies, bool) or not (isinstance(self.copies, numbers.Integral) and self.copies >= 1):
             raise ParameterError("copies must be a positive integer")
         ref = _gibbs_probs(self.cold_initial.spectrum, self.beta_c)
         if not np.max(np.abs(ref - self.cold_initial.array)) <= 1e-12:

@@ -21,6 +21,7 @@ returns the memo for its own beta, so a race only costs a recomputation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence, Tuple
@@ -60,8 +61,9 @@ _ROW_BUFFER_MIN = 192
 
 #: Fewest lanes over which numpy (2.4.6) sums a row pairwise. Over a last
 #: axis of fewer lanes ``np.add.reduce`` adds them from the left,
-#: t0 + t1 + t2 + ..., and the column path spells out that fold itself when
-#: it holds such rows lanes first. numpy's threshold, not a tuning value.
+#: t0 + t1 + t2 + ..., the order it also takes over a first axis of any
+#: length; the column path holds such rows lanes first and reduces that
+#: axis. numpy's threshold, not a tuning value.
 _PAIRWISE_LANES = 8
 
 #: The standard sampling grid of Renyi orders: 400 log-spaced points, none
@@ -279,7 +281,7 @@ def thermal_state(spectrum: EnergySpectrum, beta: float) -> DiagonalState:
     The exponent is shifted by the smallest level so that beta*E up to a few
     hundred stays representable.
     """
-    if not (isinstance(beta, (int, float)) and 0 < beta < math.inf):
+    if not (isinstance(beta, numbers.Real) and 0 < beta < math.inf):
         raise ParameterError(f"beta must be positive and finite, got {beta!r}")
     return DiagonalState(_gibbs_probs(spectrum, beta), spectrum)
 
@@ -374,7 +376,7 @@ class SupportLogs(NamedTuple):
         lanes say, they hold lanes first, one run of orders per lane (shaped
         lanes, stack, orders, 1): numpy reduces a short last axis one inner
         loop per row, so every pass then runs along the orders instead, and
-        the row maxima and sums are folded over the lane slices. A block
+        the row maxima and sums reduce the first axis. A block
         holding a row whose max is not finite goes through ``logsumexp``; any
         other is shifted by its row maxima (rows of at least _ROW_BUFFER_MIN
         lanes and at most half numpy's ufunc buffer size in a buffer of one
@@ -382,9 +384,9 @@ class SupportLogs(NamedTuple):
         shifted exponent is at or above EXP_CUT, else ``exp`` on those lanes
         only and 0.0 on the others (below the cut ``exp`` gives 0.0 through its
         slow underflow path). Every lane gets the value ``exp`` would give it
-        and each row (one order, one record) is summed on its own, by
-        ``np.add.reduce`` over its lanes or, under _PAIRWISE_LANES lanes, by the
-        left fold that reduce uses there, so the values are those of the
+        and each row (one order, one record) is summed on its own by
+        ``np.add.reduce`` over its lanes, which under _PAIRWISE_LANES lanes adds
+        them from the left in either layout, so the values are those of the
         one-pass expression of each record, bit for bit.
         """
         if np.ndim(a) == 0:
@@ -415,18 +417,14 @@ class SupportLogs(NamedTuple):
         buffers x and term (after the stack axis of a stacked record, a's rows
         by the lanes, or with the lanes first, ahead of those, and one lane
         last), keep (the same in bools) and top (the stack axis, a's rows and
-        one lane); one sum per row."""
+        one lane); one sum per row. The lane axis, the last or, with the lanes
+        first, the first, is reduced by numpy's own reductions."""
         self._exponents(a, x, term)
         lanes = x.shape[-1]  # 1 when the lanes come first
-        lanes_first = lanes < _PAIRWISE_LANES
-        if lanes_first:  # a running max over the lane slices (exact in any order)
-            np.maximum(x[0], x[-1], out=top)
-            for lane in x[1:-1]:
-                np.maximum(top, lane, out=top)
-        else:
-            np.maximum.reduce(x, axis=-1, keepdims=True, out=top)
+        axis = -1 if lanes >= _PAIRWISE_LANES else 0  # the lane axis; top keeps it only when last
+        np.maximum.reduce(x, axis=axis, keepdims=bool(axis), out=top)
         if not np.isfinite(top).all():
-            return logsumexp(np.moveaxis(x[..., 0], 0, -1) if lanes_first else x, axis=-1)
+            return logsumexp(x, axis=axis).reshape(top.shape[:-1])
         if _ROW_BUFFER_MIN <= lanes <= np.getbufsize() // 2:
             with np.errstate():  # the caller's buffer size comes back on exit
                 np.setbufsize(lanes - lanes % 16)
@@ -439,12 +437,7 @@ class SupportLogs(NamedTuple):
         else:
             term.fill(0.0)  # what exp gives the lanes below the cut
             np.exp(x, out=term, where=keep)
-        if lanes_first:  # the left fold t0 + t1 + ..., numpy's order under _PAIRWISE_LANES
-            total = term[0]
-            for lane in term[1:]:
-                total += lane
-            return (np.log(total) + top)[..., 0]
-        return np.log(np.add.reduce(term, axis=-1)) + top[..., 0]
+        return (np.log(np.add.reduce(term, axis=axis, keepdims=bool(axis))) + top)[..., 0]
 
 
 class GibbsLogs:

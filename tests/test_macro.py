@@ -218,6 +218,24 @@ def test_carnot_limit_out_of_regime():
     for beta_c, beta_h in ((math.nan, 0.5), (1.0, math.nan)):  # an input error, not a regime
         with pytest.raises(ParameterError):
             macro_carnot_limit(QUBIT, beta_c, beta_h, [0.01])
+    for g in (math.nan, 0.0, -1e-3):  # so is a step that is not > 0
+        with pytest.raises(ParameterError):
+            macro_carnot_limit(QUBIT, 1.0, 0.5, [g])
+
+
+def test_quasi_static_instance_computes_numpy_betas_as_python_floats():
+    b_c, b_h = np.float32(0.5), np.float32(0.25)
+    tiny = quasi_static_instance(QUBIT, b_c, b_h, 1e-10, 1e-6)  # under half an ulp of float32(0.5)
+    assert tiny.cold_final.probs != tiny.cold_initial.probs
+    assert type(tiny.beta_c) is float and type(tiny.beta_h) is float
+    direct = TransitionInstance(tiny.cold_initial, tiny.cold_final, b_h, b_c, tiny.battery)
+    assert type(direct.beta_c) is float and type(direct.beta_h) is float
+    for g in (0.05, np.float32(0.05)):  # the float32 betas are 0.5 and 0.25 exactly
+        got = max_extractable_work(quasi_static_instance(QUBIT, b_c, b_h, g, 1e-6)).curve
+        want = max_extractable_work(quasi_static_instance(QUBIT, 0.5, 0.25, float(g), 1e-6)).curve
+        for name in ("w_one", "w_infinity"):
+            assert type(getattr(got, name)) is float, (g, name)
+            assert getattr(got, name) == getattr(want, name), (g, name)
 
 
 @pytest.mark.parametrize("g_list", [[1e-3, 1e-3], [1e-4, 1e-3]])

@@ -240,6 +240,17 @@ def test_gamma_positive_on_profile():
     assert prof.gamma_1 / prof.gamma_inf == pytest.approx(omega_single(15.0, BC, BH), abs=1e-12)
 
 
+@pytest.mark.parametrize("e_gap, beta_c, beta_h", [
+    (800.0, 1.0, 1.0 / 60.0),  # beta_c E = 800: gamma underflows at the small orders
+    (1e-300, 0.1, 1.0 / 15.0),  # gamma(1) is 0.0 beside a tiny gamma(inf)
+    (1e5, 0.1, 1.0 / 15.0),  # every sample underflows
+])
+def test_gamma_profile_takes_an_underflow_to_zero(e_gap, beta_c, beta_h):
+    prof = gamma_profile(e_gap, beta_c, beta_h)
+    values = [v for _, v in prof.samples]
+    assert min(values) == 0.0 and all(v >= 0 for v in values)
+
+
 def test_gamma_smooth_through_order_one():
     vals = gamma(15.0, BC, BH, np.array([1.0 - 1e-6, 1.0, 1.0 + 1e-6]))
     assert np.max(np.abs(vals - vals[1])) < 1e-5 * vals[1]

@@ -869,6 +869,11 @@ def test_validation_negative_paths():
     skew = DiagonalState((0.9, 0.1), QUBIT)
     with pytest.raises(ParameterError):
         TransitionInstance(skew, t, 0.5, 1.0, battery(0.1))  # start not thermal
+    cold = thermal_state(QUBIT, 1.0)
+    for copies in (0, -1, 2.5, math.nan, "2", True):
+        with pytest.raises(ParameterError, match="copies"):
+            TransitionInstance(cold, cold, 0.5, 1.0, battery(0.1), copies=copies)
+    assert TransitionInstance(cold, cold, 0.5, 1.0, battery(0.1), copies=np.int64(2)).copies == 2
     for beta_h in (math.nan, math.inf):
         with pytest.raises(ParameterError):
             transition_feasible(t, t, beta_h)

@@ -60,6 +60,15 @@ def test_thermal_rejects_nonpositive_beta():
         thermal_state(QUBIT, -1.0)
 
 
+def test_thermal_state_takes_numpy_scalars_as_their_python_values():
+    # log_partition and classify_regime take them; the Gibbs state must too
+    for beta, value in ((np.float32(0.5), 0.5), (np.int64(2), 2.0)):
+        assert thermal_state(QUBIT, beta).probs == thermal_state(QUBIT, value).probs
+    for beta in ("0.5", None, np.float64(math.nan), np.float32(-1.0)):
+        with pytest.raises(ParameterError):
+            thermal_state(QUBIT, beta)
+
+
 def test_spectrum_sorted_and_validated():
     spec = EnergySpectrum((3.0, 0.0, 1.0))
     assert spec.levels == (0.0, 1.0, 3.0)
@@ -512,16 +521,22 @@ def test_narrow_columns_meet_every_edge_of_the_kernel(lanes):
 
 
 def test_add_reduce_folds_rows_under_the_pairwise_lanes_from_the_left():
-    # under _PAIRWISE_LANES lanes the column path sums a row as the left fold
-    # t0 + t1 + ...; np.add.reduce over such a last axis must give the same
-    # bits, and from that width on it sums pairwise and does not
+    # np.add.reduce over a last axis of fewer than _PAIRWISE_LANES lanes (the
+    # one-pass sum of a narrow row) adds them from the left, t0 + t1 + ..., and
+    # from that width on sums pairwise; over the first axis (the column path's
+    # lanes-first layout) it and np.maximum.reduce take the lanes from the left
+    # at any width, so under _PAIRWISE_LANES both layouts give the same bits
     t = np.random.default_rng(18).uniform(0.0, 1.0, (4000, _PAIRWISE_LANES + 1))
     for lanes in range(1, _PAIRWISE_LANES + 2):
-        fold = t[:, 0].copy()
+        fold, running_max = t[:, 0].copy(), t[:, 0].copy()
         for j in range(1, lanes):
             fold += t[:, j]
+            np.maximum(running_max, t[:, j], out=running_max)
         same = np.add.reduce(t[:, :lanes], axis=-1).tobytes() == fold.tobytes()
         assert same == (lanes < _PAIRWISE_LANES), lanes
+        first = np.ascontiguousarray(t[:, :lanes].T)
+        assert np.add.reduce(first, axis=0).tobytes() == fold.tobytes(), lanes
+        assert np.maximum.reduce(first, axis=0).tobytes() == running_max.tobytes(), lanes
 
 
 def test_blocked_power_sum_keeps_a_wide_grid_call_small():
