@@ -252,6 +252,9 @@ def nano_records(rec):
         rec(f"small gap classify({e!r})", nh.classify_regime, e, beta_c, beta_h)
         rec(f"small gap nu({e!r})", nh.estimate_nu, e, beta_c, beta_h)
         rec(f"small gap infimum({e!r})", nh.infimum_location, e, beta_c, beta_h, 0.9)
+    # gaps where gamma(inf) lies below 1e-9 (2.8e-11 and 1.7e-15)
+    for e in (300.0, 400.0):
+        rec(f"tiny gamma infimum({e!r})", nh.infimum_location, e, beta_c, beta_h, 0.9)
     # gaps where the prefactor E / (1 + exp(beta_c E)) of b_alpha is subnormal or 0
     probe = np.array([1e-3, 0.5, 0.9, 1.0 + 5e-8, 2.0, 1e3, math.inf])
     for e in (709.0, 760.0, 800.0, 1000.0):

@@ -35,6 +35,9 @@ DICHOTOMY_GRID_MAX = 1e3
 SIGN_GRID = np.geomspace(1e-3, DICHOTOMY_GRID_MAX, 400)
 SIGN_GRID = SIGN_GRID[(SIGN_GRID < 0.98) | (SIGN_GRID > 1.02)]
 SIGN_GRID.flags.writeable = False
+#: Index of the first SIGN_GRID order above 1: the bracket that ends there spans
+#: the excluded seam, and every other bracket lies wholly below or above order 1.
+_ABOVE_ONE = int(np.searchsorted(SIGN_GRID, 1.0))
 
 #: Relative band factor for prediction-vs-numeric comparisons:
 #: |relative difference| <= BAND_C * (g + eps + eps^kappa_bar / g).
@@ -335,6 +338,19 @@ CASE_EQ2 = "CASE_EQ2"
 #: seam as the indicator approaches 2).
 _CASE_BOUNDARY_TOL = 1e-2
 
+#: The sign patterns of g (the sign of gamma') that each case label allows:
+#: (most sign changes below order 1, most above it, a SIGN_GRID index, the sign
+#: g has there). The sign is checked only when the indicator is farther than
+#: _CASE_BOUNDARY_TOL from 2, so never for CASE_EQ2.
+_SIGN_PATTERNS = {
+    # gamma rises through order 1 and falls after at most one downward crossing
+    # (possibly beyond the sampled window)
+    CASE_LT2: (0, 1, _ABOVE_ONE - 1, 1.0),
+    # one downward crossing below order 1 (possibly below the window), none after
+    CASE_GT2: (1, 0, _ABOVE_ONE, -1.0),
+    CASE_EQ2: (0, 0, _ABOVE_ONE, 0.0),
+}
+
 
 def carnot_efficiency(beta_c: float, beta_h: float) -> float:
     """1 - beta_h/beta_c, the Carnot efficiency between the two baths."""
@@ -380,51 +396,36 @@ def _regime(e_gap: float, beta_c: float, beta_h: float) -> RegimeClassification:
     )
 
 
+def _root(f, lo: float, hi: float, up: bool, ends) -> float:
+    """The crossing of ``f`` on [lo, hi] by `_bisect_many`, ``ends`` its values at
+    lo and hi (nan where unknown): the root lies above a point where f's sign
+    (above 0 or not) is the one it has at lo, ``up``."""
+    depth = _speculation_depth(2)  # the closed forms cost about what a qubit curve does
+    return _bisect_many(lambda xs: f(xs).tolist(), lo, hi, depth, lambda v: (v > 0) == up, ends)
+
+
 def classify_regime(e_gap: float, beta_c: float, beta_h: float) -> RegimeClassification:
     """The verdict of `_regime` with the sign changes of gamma's derivative.
 
-    Sign changes of the derivative-sign function are located by bisection on
-    [1e-3, 1e3] (excluding the removable zero at order 1) and checked against
-    the case label; an impossible pattern raises.
+    The brackets of SIGN_GRID over which g changes sign (one comparison of the
+    signs, the bracket spanning the excluded seam at order 1 left out) are
+    bisected down to adjacent floats. Their number below and above order 1,
+    and the sign of g next to the seam, are checked against the case label's
+    row of `_SIGN_PATTERNS`; an impossible pattern raises.
     """
     verdict = _regime(e_gap, beta_c, beta_h)
-    ind, case = verdict.tanh_indicator, verdict.g_case
-
     vals = g_function(e_gap, beta_c, beta_h, SIGN_GRID)
-    grid, values = SIGN_GRID.tolist(), vals.tolist()
-    depth = _speculation_depth(2)  # the closed forms cost about what a qubit curve does
-    roots = []
-    for a, b, va, vb in zip(grid[:-1], grid[1:], values[:-1], values[1:]):
-        if a < 1.0 < b:
-            continue  # bracket spanning the excluded seam
-        up = va > 0
-        if up != (vb > 0):
-            # the root lies above x while g(x) keeps the sign g has at a
-            roots.append(_bisect_many(
-                lambda xs: g_function(e_gap, beta_c, beta_h, xs).tolist(), a, b, depth,
-                lambda v: (v > 0) == up, (va, vb),
-            ))
-    below = [r for r in roots if r < 1.0]
-    above = [r for r in roots if r > 1.0]
-
-    near_boundary = abs(ind - 2.0) <= _CASE_BOUNDARY_TOL
-    consistent = True
-    if case == CASE_LT2:
-        # rises through order 1, falls after one downward crossing (possibly
-        # beyond the sampled window)
-        consistent = len(below) == 0 and len(above) <= 1
-        if not near_boundary:
-            consistent = consistent and float(vals[SIGN_GRID < 0.98][-1]) > 0
-    elif case == CASE_GT2:
-        # one downward crossing below order 1 (possibly below the window), none after
-        consistent = len(below) <= 1 and len(above) == 0
-        if not near_boundary:
-            consistent = consistent and float(vals[SIGN_GRID > 1.02][0]) < 0
-    else:
-        consistent = len(below) == 0 and len(above) == 0
-    if not consistent:
+    up = vals > 0
+    cross = np.flatnonzero(up[:-1] != up[1:])
+    cross = cross[cross != _ABOVE_ONE - 1]  # g's exact zero at order 1 is no sign change
+    roots = [_root(lambda xs: g_function(e_gap, beta_c, beta_h, xs), *SIGN_GRID[i:i + 2].tolist(),
+                   bool(up[i]), vals[i:i + 2].tolist()) for i in cross.tolist()]
+    below = np.count_nonzero(cross < _ABOVE_ONE)
+    most_below, most_above, at, sign = _SIGN_PATTERNS[verdict.g_case]
+    if not (below <= most_below and len(roots) - below <= most_above and (
+            abs(verdict.tanh_indicator - 2.0) <= _CASE_BOUNDARY_TOL or np.sign(vals[at]) == sign)):
         raise NumericalInconsistencyError(
-            f"sign pattern of the gamma derivative contradicts {case}: roots {roots}"
+            f"sign pattern of the gamma derivative contradicts {verdict.g_case}: roots {roots}"
         )
     return replace(verdict, g_sign_changes=tuple(float(r) for r in roots))
 
@@ -449,8 +450,7 @@ def estimate_nu(e_gap: float, beta_c: float, beta_h: float) -> float:
     if f_lo > 0:
         return 0.0
     # the root lies above k while gamma(k) is not above its limit (nan is not)
-    return _bisect_many(lambda ks: f(ks).tolist(), lo, 1.0 - 1e-9, _speculation_depth(2),
-                        lambda v: not v > 0, (f_lo, math.nan))
+    return _root(f, lo, 1.0 - 1e-9, False, (f_lo, math.nan))
 
 
 def infimum_location(e_gap: float, beta_c: float, beta_h: float, kappa_bar: float) -> Alpha:
@@ -458,7 +458,8 @@ def infimum_location(e_gap: float, beta_c: float, beta_h: float, kappa_bar: floa
 
     A dense log grid (1e4 points up to 1e3) plus the analytic large-order
     endpoint; an interior sample strictly below both endpoints by more than
-    1e-9 raises a dichotomy violation rather than being silently accepted.
+    1e-9 times the smaller endpoint, or 1e-9 where that endpoint is above 1,
+    raises a dichotomy violation rather than being silently accepted.
     Every grid order is checked; gamma evaluates them in blocks of
     GAMMA_BLOCK, so the call's temporaries stay near 300 KB, not 1 MB.
     """
@@ -470,7 +471,8 @@ def infimum_location(e_gap: float, beta_c: float, beta_h: float, kappa_bar: floa
     g_inf = gamma_infinity(e_gap, beta_c, beta_h)
     endpoint_min = min(g_k, g_inf)
     interior = float(np.min(vals[1:-1]))
-    if interior < endpoint_min - 1e-9:
+    # the floor keeps the threshold above the rounding of a subnormal endpoint
+    if interior < endpoint_min - 1e-9 * max(min(endpoint_min, 1.0), sys.float_info.min):
         i = int(np.argmin(vals[1:-1])) + 1
         raise DichotomyViolationError(
             f"interior minimum {interior} below both endpoints ({g_k}, {g_inf})",

@@ -195,12 +195,7 @@ class DiagonalState:
         if abs(float(probs.sum()) - 1.0) > NORMALIZATION_TOL:
             raise ParameterError(f"probabilities sum to {probs.sum()!r}, not 1")
         object.__setattr__(self, "probs", tuple(probs.tolist()))
-        self.__dict__["array"] = _read_only(probs)  # fills the cached_property below
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        """The probabilities as a read-only array, built once."""
-        return _read_only(np.array(self.probs, dtype=float))
+        self.__dict__["array"] = _read_only(probs)
 
     @property
     def full_rank(self) -> bool:

@@ -416,6 +416,15 @@ def test_installed_entry_point_subprocess(tmp_path):
     assert out.exists()
 
 
+def test_the_package_imports_no_test_or_optional_dependency():
+    # numpy is the only runtime dependency; mpmath, hypothesis and pytest serve the tests
+    check = ("import sys, nanoheat; print(sorted(m for m in "
+             "('mpmath', 'scipy', 'sympy', 'hypothesis', 'pytest') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # --- one parser per process -----------------------------------------------------
 
 def test_a_config_run_leaves_no_defaults_behind(tmp_path):

@@ -11,6 +11,7 @@ from nanoheat import (
     correlated_bound_check,
     EnergySpectrum,
     EpsilonFamily,
+    NumericalInconsistencyError,
     ParameterError,
     QubitBath,
     QuasiStaticConfig,
@@ -281,8 +282,10 @@ def test_dichotomy_check_keeps_its_memory_small():
         assert peak < 512 * 1024  # one pass over all 1e4 orders needs about 1 MB
 
 
+# at E = 300 gamma(inf) = 2.8e-11: the dip lies 2.8e-14 below it, under an absolute 1e-9
+@pytest.mark.parametrize("e", [45.0, 300.0])
 @pytest.mark.parametrize("where", ["last of a block", "first of the next", "last interior"])
-def test_a_dip_at_a_block_edge_raises_as_in_one_pass(monkeypatch, where):
+def test_a_dip_at_a_block_edge_raises_as_in_one_pass(monkeypatch, where, e):
     n = nano.DICHOTOMY_GRID_POINTS
     i = {"last of a block": nano.GAMMA_BLOCK - 1, "first of the next": nano.GAMMA_BLOCK,
          "last interior": n - 2}[where]
@@ -290,7 +293,7 @@ def test_a_dip_at_a_block_edge_raises_as_in_one_pass(monkeypatch, where):
     real = nano.gamma
 
     def dipped(e_gap, beta_c, beta_h, alpha):
-        # at E = 45 the infimum is at infinity: dip one interior order below it
+        # at E = 45 and 300 the infimum is at infinity: dip one interior order below it
         out = real(e_gap, beta_c, beta_h, alpha)
         return np.where(np.asarray(alpha) == grid[i], 0.999 * gamma_infinity(e_gap, beta_c, beta_h), out)
 
@@ -299,10 +302,10 @@ def test_a_dip_at_a_block_edge_raises_as_in_one_pass(monkeypatch, where):
     for block in (nano.GAMMA_BLOCK, n):  # blocked, then one-shot
         monkeypatch.setattr(nano, "GAMMA_BLOCK", block)
         with pytest.raises(DichotomyViolationError) as info:
-            infimum_location(45.0, BC, BH, 0.9)
+            infimum_location(e, BC, BH, 0.9)
         raised.append((info.value.alpha, info.value.gap))
     assert raised[0] == raised[1]
-    g_inf = gamma_infinity(45.0, BC, BH)
+    g_inf = gamma_infinity(e, BC, BH)
     assert raised[0] == (grid[i], g_inf - 0.999 * g_inf)
 
 
@@ -403,6 +406,27 @@ def test_classify_sign_pattern_consistency_random():
     for _ in range(1000):
         e, bc, bh = random_params(rng)
         classify_regime(e, bc, bh)  # raises on an impossible sign pattern
+
+
+@pytest.mark.parametrize("e, flip, case", [
+    (45.0, lambda a: a < 0.5, CASE_LT2),  # a sign change below order 1
+    (45.0, lambda a: a < 1.0, CASE_LT2),  # g < 0 next to the seam, no change below it
+    (65.0, lambda a: a > 2.0, CASE_GT2),  # a sign change above order 1
+    (65.0, lambda a: a > 1.0, CASE_GT2),  # g > 0 next to the seam, no change above it
+    (None, lambda a: a < 0.5, CASE_EQ2),  # any sign change, at the gap where the indicator is 2
+])
+def test_a_contradicted_sign_pattern_raises(monkeypatch, e, flip, case):
+    e = _bisect(lambda x: tanh_indicator(x, BC, BH) < 2.0, 50.0, 70.0) if e is None else e
+    assert classify_regime(e, BC, BH).g_case == case  # consistent as it stands
+    real = nano.g_function
+
+    def flipped(e_gap, beta_c, beta_h, alpha):
+        values = real(e_gap, beta_c, beta_h, alpha)
+        return np.where(flip(np.asarray(alpha)), -values, values)
+
+    monkeypatch.setattr(nano, "g_function", flipped)
+    with pytest.raises(NumericalInconsistencyError, match=f"contradicts {case}"):
+        classify_regime(e, BC, BH)
 
 
 def regime_map_cells(rng, n):
