@@ -240,6 +240,8 @@ def nano_records(rec):
             probe = np.array([1e-3, 0.5, 1.0, 1.0 + 5e-8, 2.0, 1e3, math.inf])
             rec(f"{key} gamma", lambda: nh.gamma(e, beta_c, beta_h, probe).tolist())
             rec(f"{key} g_function", lambda: nh.nano.g_function(e, beta_c, beta_h, probe[:-1]).tolist())
+            rec(f"{key} b_alpha", lambda: nh.nano.b_alpha(e, beta_c, beta_h, probe).tolist())
+            rec(f"{key} b_alpha_prime", lambda: nh.nano.b_alpha_prime(e, beta_c, beta_h, probe).tolist())
             rec(f"{key} g_function(1.0)", nh.nano.g_function, e, beta_c, beta_h, 1.0)
     # cells at the indicator-2 boundary of T = (15, 10)
     beta_c, beta_h = 0.1, 1.0 / 15.0
@@ -266,6 +268,9 @@ def nano_records(rec):
     # the dichotomy grid: 1e4 orders, across the block edges of gamma
     grid = np.geomspace(0.9, nh.nano.DICHOTOMY_GRID_MAX, nh.nano.DICHOTOMY_GRID_POINTS)
     rec("gamma(45.0) on the dichotomy grid", lambda: nh.gamma(45.0, beta_c, beta_h, grid).tolist())
+    # T = (1, 1.05): exp(-2s) in gamma's kernel underflows above order ~230
+    rec("gamma(60.0, T=(1, 1.05)) on the dichotomy grid",
+        lambda: nh.gamma(60.0, 1.0, 1.0 / 1.05, grid).tolist())
 
     for family in (nh.EpsilonFamily.exponential(), nh.EpsilonFamily.log_linear(),
                    nh.EpsilonFamily.power(), nh.EpsilonFamily.power(2.0, 0.25),
@@ -537,6 +542,10 @@ CLI_RUNS = {
                                     "--e-min", "15", "--lo", "5.5", "--hi", "60", "--steps", "3"],
     "sweep-tcold-lo-subnormal": ["sweep", "--mode", "tcold", "--t-hot", "20", "--e-min", "15",
                                  "--lo", "1e-320", "--hi", "19.5", "--steps", "3"],
+    "sweep-jobs-zero": ["sweep", "--mode", "energy", "--t-hot", "15", "--t-cold", "10",
+                        "--lo", "1", "--hi", "60", "--steps", "3", "--jobs", "0"],
+    "sweep-jobs-negative": ["sweep", "--mode", "energy", "--t-hot", "15", "--t-cold", "10",
+                            "--lo", "1", "--hi", "60", "--steps", "3", "--jobs", "-4"],
 }
 
 

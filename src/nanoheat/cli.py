@@ -149,6 +149,8 @@ def _cmd_sweep(args) -> int:
         raise _CliError("--lo must be below --hi, and both finite")
     if args.steps < 2:
         raise _CliError("--steps must be at least 2")
+    if args.jobs < 1:
+        raise _CliError("--jobs must be at least 1")
     fixed = {"e_gap": args.e_min, "t_hot": args.t_hot, "t_cold": args.t_cold,
              "g": args.g, "family": _family_from_args(args)}
     for t in ("t_hot", "t_cold"):

@@ -46,10 +46,11 @@ _ABOVE_ONE = int(np.searchsorted(SIGN_GRID, 1.0))
 #: 0.33 (efficiency) of the band -- then frozen with ~3x headroom.
 PREDICTION_BAND_C = 0.9
 
-#: gamma evaluates an order array in blocks of this many orders (16 KiB of
-#: doubles per temporary), so the 1e4-order dichotomy grid reuses the same
-#: small buffers instead of faulting in fresh heap pages on every call.
-GAMMA_BLOCK = BLOCK_ELEMENTS // 16
+#: gamma evaluates an order array in blocks of this many orders (32 KiB of
+#: doubles for each of the kernel's five temporaries), so the 1e4-order
+#: dichotomy grid takes three blocks that reuse the same small buffers instead
+#: of faulting in fresh heap pages on every call.
+GAMMA_BLOCK = BLOCK_ELEMENTS // 8
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +151,9 @@ def _check_qubit_params(e_gap: float, beta_c: float, beta_h: float):
         raise ParameterError("need finite beta_c > beta_h > 0")
 
 
-def _ln_k(e_gap: float, beta_c: float, beta_h: float, a):
-    """(ln K, ln b_alpha') at the orders a >= 0, where K = b_alpha / (a - 1).
+def _ln_k(e_gap: float, beta_c: float, beta_h: float, a, prime: bool = False):
+    """ln K at the orders a >= 0, where K = b_alpha / (a - 1); with ``prime``,
+    the pair (ln K, ln b_alpha').
 
     With D = beta_c - beta_h, c = beta_c E / 2, z = (a - 1) D E / 2 and
     s = c + z = beta_a E / 2, the qubit closed forms are
@@ -162,23 +164,34 @@ def _ln_k(e_gap: float, beta_c: float, beta_h: float, a):
     both logs are -inf at infinite orders. ln(sinh|z| / cosh s) is taken as
     (|z| - |s|) + ln(1 - e^(-2|z|)) - ln(1 + e^(-2|s|)) with |z| - |s| =
     min(c, -c - 2 min(z, 0)), so the terms that grow like z cancel exactly.
+    Each intermediate (z, |s|, the tail, |z|, sinhc) has one array that later
+    steps overwrite in place, and every order sees its operations in one fixed
+    order, ln K = ((ln_pre + (|z| - |s|)) + ln sinhc_2) - tail, so a block of
+    orders gives each order the bits of a call on that order alone.
     """
     _check_qubit_params(e_gap, beta_c, beta_h)
     if (a < 0).any():
         raise ParameterError("order must be nonnegative")
     c = beta_c * e_gap / 2.0
-    z = (a - 1.0) * ((beta_c - beta_h) * e_gap / 2.0)
-    s = np.abs(c + z)
-    tail = np.log1p(np.exp(-2.0 * s))
+    z = np.subtract(a, 1.0)
+    z *= (beta_c - beta_h) * e_gap / 2.0
+    s = np.add(c, z)
+    tail = np.multiply(-2.0, np.abs(s, out=s))  # s holds |c + z| from here on
+    np.log1p(np.exp(tail, out=tail), out=tail)
     # 2 e^(-|z|) sinhc(z) = (1 - e^(-2|z|)) / |z|: exactly 2 for every |z| below
     # the smallest normal double, and 0 at infinite orders
-    az = np.maximum(np.abs(z), sys.float_info.min)
-    sinhc_2 = -np.expm1(-2.0 * az) / az
+    az = np.abs(z)
+    sinhc_2 = np.multiply(-2.0, np.maximum(az, sys.float_info.min, out=az))
+    np.divide(np.negative(np.expm1(sinhc_2, out=sinhc_2), out=sinhc_2), az, out=sinhc_2)
     ln_de2 = math.log(beta_c - beta_h) + 2.0 * math.log(e_gap)
     ln_pre = ln_de2 - math.log(2.0) - c - math.log1p(math.exp(-2.0 * c))  # ln(D E^2 / (4 cosh c))
+    ln_k = np.multiply(2.0, np.minimum(z, 0.0, out=z), out=z)
+    np.add(ln_pre, np.minimum(c, np.subtract(-c, ln_k, out=ln_k), out=ln_k), out=ln_k)
     with np.errstate(divide="ignore"):
-        ln_k = ln_pre + np.minimum(c, -c - 2.0 * np.minimum(z, 0.0)) + np.log(sinhc_2) - tail
-    return ln_k, ln_de2 - 2.0 * (s + tail)
+        np.subtract(np.add(ln_k, np.log(sinhc_2, out=sinhc_2), out=ln_k), tail, out=ln_k)
+    if not prime:
+        return ln_k
+    return ln_k, np.subtract(ln_de2, np.multiply(2.0, np.add(s, tail, out=s), out=s), out=s)
 
 
 def b_alpha(e_gap: float, beta_c: float, beta_h: float, alpha) -> np.ndarray | float:
@@ -193,7 +206,7 @@ def b_alpha(e_gap: float, beta_c: float, beta_h: float, alpha) -> np.ndarray | f
     a = np.atleast_1d(a_in)
     inf = np.isinf(a)
     out = np.full_like(a, gamma_infinity(e_gap, beta_c, beta_h))
-    np.multiply(a - 1.0, np.exp(_ln_k(e_gap, beta_c, beta_h, a)[0]), out=out, where=~inf)
+    np.multiply(a - 1.0, np.exp(_ln_k(e_gap, beta_c, beta_h, a)), out=out, where=~inf)
     return float(out[0]) if a_in.ndim == 0 else out
 
 
@@ -215,7 +228,7 @@ def b_alpha_prime(e_gap: float, beta_c: float, beta_h: float, alpha) -> np.ndarr
     """Derivative of b_alpha in the order, (beta_c - beta_h) times the energy
     variance at beta_a; strictly positive for beta_c > beta_h."""
     a_in = np.asarray(alpha, dtype=float)
-    out = np.exp(_ln_k(e_gap, beta_c, beta_h, np.atleast_1d(a_in))[1])
+    out = np.exp(_ln_k(e_gap, beta_c, beta_h, np.atleast_1d(a_in), prime=True)[1])
     return float(out[0]) if a_in.ndim == 0 else out
 
 
@@ -244,7 +257,8 @@ def gamma(e_gap: float, beta_c: float, beta_h: float, alpha) -> np.ndarray | flo
     for lo in range(0, len(a), GAMMA_BLOCK):
         ab, ob = a[lo:lo + GAMMA_BLOCK], out[lo:lo + GAMMA_BLOCK]
         inf = np.isinf(ab)
-        np.multiply(ab, np.exp(_ln_k(e_gap, beta_c, beta_h, ab)[0]), out=ob, where=~inf)
+        k = _ln_k(e_gap, beta_c, beta_h, ab)
+        np.multiply(ab, np.exp(k, out=k), out=ob, where=~inf)
         ob[inf] = g_inf
     return float(out[0]) if a_in.ndim == 0 else out.reshape(a_in.shape)
 
@@ -315,7 +329,7 @@ def g_function(e_gap: float, beta_c: float, beta_h: float, alpha) -> np.ndarray 
     of gamma's derivative, and it is 0 at order 1."""
     a_in = np.asarray(alpha, dtype=float)
     a = np.atleast_1d(a_in)
-    ln_k, ln_b_prime = _ln_k(e_gap, beta_c, beta_h, a)
+    ln_k, ln_b_prime = _ln_k(e_gap, beta_c, beta_h, a, prime=True)
     am1 = a - 1.0
     # K/b_alpha' ~ e^(2z) / z passes the float range at large orders, and a(a - 1)
     # above ~1.34e154; where both do, the sign of a - K/b_alpha' decides (-inf at inf)
@@ -461,7 +475,8 @@ def infimum_location(e_gap: float, beta_c: float, beta_h: float, kappa_bar: floa
     1e-9 times the smaller endpoint, or 1e-9 where that endpoint is above 1,
     raises a dichotomy violation rather than being silently accepted.
     Every grid order is checked; gamma evaluates them in blocks of
-    GAMMA_BLOCK, so the call's temporaries stay near 300 KB, not 1 MB.
+    GAMMA_BLOCK without ln b_alpha', so the call's peak allocation at
+    E = 45, T = (15, 10), cutoff 0.9 is 363 KB (tracemalloc), not 1 MB.
     """
     if not 0.0 < kappa_bar < 1.0:
         raise ParameterError("cutoff must lie in (0, 1)")
@@ -480,7 +495,7 @@ def infimum_location(e_gap: float, beta_c: float, beta_h: float, kappa_bar: floa
             gap=endpoint_min - interior,
         )
     # in logs, so endpoints that both underflow (as at E = 900, T = (20, 1)) still compare
-    ln_g_k = math.log(kappa_bar) + float(_ln_k(e_gap, beta_c, beta_h, np.array([kappa_bar]))[0][0])
+    ln_g_k = math.log(kappa_bar) + float(_ln_k(e_gap, beta_c, beta_h, np.array([kappa_bar]))[0])
     ln_g_inf = math.log(e_gap) - float(np.logaddexp(0.0, beta_c * e_gap))
     return Alpha.of(kappa_bar) if ln_g_k <= ln_g_inf else Alpha.INFINITY
 

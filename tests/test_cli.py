@@ -342,12 +342,16 @@ def test_nonphysical_temperatures_and_gaps_are_config_errors(argv, capsys):
         ["work", "--e", "45", "--t-hot", "15", "--t-cold", "10", "--family-c", "nan"],
         ["work", "--e", "45", "--t-hot", "15", "--t-cold", "10", "--family-c", "inf"],
         ["work", "--e", "45", "--t-hot", "15", "--t-cold", "10", "--family-k", "inf"],
+        ["sweep", "--mode", "energy", "--t-hot", "15", "--t-cold", "10", "--lo", "1",
+         "--hi", "60", "--steps", "3", "--jobs", "0", "--output", "unused.csv"],
+        ["sweep", "--mode", "energy", "--t-hot", "15", "--t-cold", "10", "--lo", "1",
+         "--hi", "60", "--steps", "3", "--jobs", "-4", "--output", "unused.csv"],
     ],
     ids=["feasible-longer-p1", "feasible-shorter-p1", "work-g-out-of-regime", "work-g-nan",
          "sweep-g-nan", "multicycle-fractional-n", "multicycle-w-nan", "multicycle-w-inf",
          "sweep-tcold-lo-nan",
          "sweep-energy-lo-nan", "sweep-thot-hi-inf", "work-family-c-nan", "work-family-c-inf",
-         "work-family-k-inf"],
+         "work-family-k-inf", "sweep-jobs-zero", "sweep-jobs-negative"],
 )
 def test_malformed_lists_steps_and_cycle_counts_are_config_errors(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -263,11 +263,17 @@ def test_blocked_gamma_equals_the_order_by_order_calls():
     alphas = np.geomspace(1e-3, 1e3, 2 * nano.GAMMA_BLOCK + 7)
     alphas[[0, nano.GAMMA_BLOCK - 1, nano.GAMMA_BLOCK, -1]] = [math.inf, 1.0, 1.0 - 5e-8, math.inf]
     alphas[[5, -3]] = [1.0 + 5e-8, 1.0]
-    for e in (15.0, 45.0):
-        together = gamma(e, BC, BH, alphas)
-        alone = np.array([gamma(e, BC, BH, float(a)) for a in alphas])
-        assert together.tobytes() == alone.tobytes()
-        assert together[0] == gamma_infinity(e, BC, BH) and together[-3] == gamma_one(e, BC, BH)
+    # every reader of the qubit kernel; at E = 800, beta = (1, 0.05) gamma(inf) is
+    # 0.0, and at E = 60, T = (1, 1.05) exp(-2s) underflows above order ~230
+    cells = ((15.0, BC, BH), (45.0, BC, BH), (800.0, 1.0, 0.05), (60.0, 1.0, 1.0 / 1.05))
+    for e, beta_c, beta_h in cells:
+        for reader in (gamma, g_function, b_alpha, b_alpha_prime):
+            together = reader(e, beta_c, beta_h, alphas)
+            alone = np.array([reader(e, beta_c, beta_h, float(a)) for a in alphas])
+            assert together.tobytes() == alone.tobytes(), (reader.__name__, e)
+        together = gamma(e, beta_c, beta_h, alphas)
+        assert together[0] == gamma_infinity(e, beta_c, beta_h)
+        assert together[-3] == gamma_one(e, beta_c, beta_h)
 
 
 def test_dichotomy_check_keeps_its_memory_small():
