@@ -265,8 +265,12 @@ def nano_records(rec):
         rec(f"large gap classify({e!r})", nh.classify_regime, e, 1.0, 0.05)
         rec(f"large gap nu({e!r})", nh.estimate_nu, e, 1.0, 0.05)
         rec(f"large gap infimum({e!r})", nh.infimum_location, e, 1.0, 0.05, 0.9)
-    # the dichotomy grid: 1e4 orders, across the block edges of gamma
-    grid = np.geomspace(0.9, nh.nano.DICHOTOMY_GRID_MAX, nh.nano.DICHOTOMY_GRID_POINTS)
+    # cutoffs from far below the sign grid to inside its gap around order 1
+    for e in (15.0, 45.0, edge):
+        for kb in (1e-9, 5e-4, float(nh.nano.SIGN_GRID[10]), 0.979, 0.999):
+            rec(f"infimum_location({e!r}, {kb!r})", nh.infimum_location, e, beta_c, beta_h, kb)
+    # gamma on 1e4 log-spaced orders over [0.9, 1e3]
+    grid = np.geomspace(0.9, 1e3, 10_000)
     rec("gamma(45.0) on the dichotomy grid", lambda: nh.gamma(45.0, beta_c, beta_h, grid).tolist())
     # T = (1, 1.05): exp(-2s) in gamma's kernel underflows above order ~230
     rec("gamma(60.0, T=(1, 1.05)) on the dichotomy grid",

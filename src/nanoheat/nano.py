@@ -23,10 +23,10 @@ from .errors import (
 )
 from .macro import _decreasing_steps, efficiency_breakdown, quasi_static_instance
 from .second_laws import Alpha, _bisect_many, _speculation_depth, max_extractable_work
-from .thermo import BLOCK_ELEMENTS, EnergySpectrum, QubitBath, binary_entropy, thermal_state
+from .thermo import EnergySpectrum, QubitBath, binary_entropy, thermal_state
 
-#: gamma grid used by the endpoint-dichotomy check: 1e4 log-spaced points.
-DICHOTOMY_GRID_POINTS = 10_000
+#: Largest order at which g is sampled, by classify_regime and by the
+#: endpoint-dichotomy check of infimum_location.
 DICHOTOMY_GRID_MAX = 1e3
 
 #: Orders at which classify_regime samples g for sign changes: 400 log-spaced
@@ -45,12 +45,6 @@ _ABOVE_ONE = int(np.searchsorted(SIGN_GRID, 1.0))
 #: power family (c=1, k=1/2) -- measured utilization 0.22 (work) and
 #: 0.33 (efficiency) of the band -- then frozen with ~3x headroom.
 PREDICTION_BAND_C = 0.9
-
-#: gamma evaluates an order array in blocks of this many orders (32 KiB of
-#: doubles for each of the kernel's five temporaries), so the 1e4-order
-#: dichotomy grid takes three blocks that reuse the same small buffers instead
-#: of faulting in fresh heap pages on every call.
-GAMMA_BLOCK = BLOCK_ELEMENTS // 8
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +160,7 @@ def _ln_k(e_gap: float, beta_c: float, beta_h: float, a, prime: bool = False):
     min(c, -c - 2 min(z, 0)), so the terms that grow like z cancel exactly.
     Each intermediate (z, |s|, the tail, |z|, sinhc) has one array that later
     steps overwrite in place, and every order sees its operations in one fixed
-    order, ln K = ((ln_pre + (|z| - |s|)) + ln sinhc_2) - tail, so a block of
+    order, ln K = ((ln_pre + (|z| - |s|)) + ln sinhc_2) - tail, so an array of
     orders gives each order the bits of a call on that order alone.
     """
     _check_qubit_params(e_gap, beta_c, beta_h)
@@ -202,11 +196,18 @@ def b_alpha(e_gap: float, beta_c: float, beta_h: float, alpha) -> np.ndarray | f
     large-order limit at infinity. Zero exactly at alpha = 1, negative below,
     positive above.
     """
+    return _shifted_k(e_gap, beta_c, beta_h, alpha, 1.0)
+
+
+def _shifted_k(e_gap: float, beta_c: float, beta_h: float, alpha, shift: float):
+    """(a - shift) K(a), and the large-order limit gamma(inf) at infinite orders:
+    gamma at shift 0.0, b_alpha at shift 1.0."""
     a_in = np.asarray(alpha, dtype=float)
     a = np.atleast_1d(a_in)
+    out = _ln_k(e_gap, beta_c, beta_h, a)
     inf = np.isinf(a)
-    out = np.full_like(a, gamma_infinity(e_gap, beta_c, beta_h))
-    np.multiply(a - 1.0, np.exp(_ln_k(e_gap, beta_c, beta_h, a)), out=out, where=~inf)
+    np.multiply(a - shift, np.exp(out, out=out), out=out, where=~inf)
+    out[inf] = gamma_infinity(e_gap, beta_c, beta_h)
     return float(out[0]) if a_in.ndim == 0 else out
 
 
@@ -247,20 +248,9 @@ def gamma(e_gap: float, beta_c: float, beta_h: float, alpha) -> np.ndarray | flo
     """gamma(a) = a K(a) = a * b_alpha / (a - 1); positive for every order > 0.
 
     K is finite at order 1, so gamma(1) comes out of the formula; infinity maps
-    to the large-order limit. The orders are evaluated in blocks of
-    GAMMA_BLOCK, each written into one result array.
+    to the large-order limit.
     """
-    a_in = np.asarray(alpha, dtype=float)
-    a = a_in.reshape(-1)
-    out = np.empty_like(a)
-    g_inf = gamma_infinity(e_gap, beta_c, beta_h)
-    for lo in range(0, len(a), GAMMA_BLOCK):
-        ab, ob = a[lo:lo + GAMMA_BLOCK], out[lo:lo + GAMMA_BLOCK]
-        inf = np.isinf(ab)
-        k = _ln_k(e_gap, beta_c, beta_h, ab)
-        np.multiply(ab, np.exp(k, out=k), out=ob, where=~inf)
-        ob[inf] = g_inf
-    return float(out[0]) if a_in.ndim == 0 else out.reshape(a_in.shape)
+    return _shifted_k(e_gap, beta_c, beta_h, alpha, 0.0)
 
 
 @dataclass(frozen=True)
@@ -418,6 +408,13 @@ def _root(f, lo: float, hi: float, up: bool, ends) -> float:
     return _bisect_many(lambda xs: f(xs).tolist(), lo, hi, depth, lambda v: (v > 0) == up, ends)
 
 
+def _g_root(e_gap: float, beta_c: float, beta_h: float, orders, vals, i: int) -> float:
+    """The sign change of g between orders[i] and orders[i + 1], ``vals`` the
+    values of g at ``orders``."""
+    return _root(lambda xs: g_function(e_gap, beta_c, beta_h, xs), *orders[i:i + 2].tolist(),
+                 bool(vals[i] > 0), vals[i:i + 2].tolist())
+
+
 def classify_regime(e_gap: float, beta_c: float, beta_h: float) -> RegimeClassification:
     """The verdict of `_regime` with the sign changes of gamma's derivative.
 
@@ -432,8 +429,7 @@ def classify_regime(e_gap: float, beta_c: float, beta_h: float) -> RegimeClassif
     up = vals > 0
     cross = np.flatnonzero(up[:-1] != up[1:])
     cross = cross[cross != _ABOVE_ONE - 1]  # g's exact zero at order 1 is no sign change
-    roots = [_root(lambda xs: g_function(e_gap, beta_c, beta_h, xs), *SIGN_GRID[i:i + 2].tolist(),
-                   bool(up[i]), vals[i:i + 2].tolist()) for i in cross.tolist()]
+    roots = [_g_root(e_gap, beta_c, beta_h, SIGN_GRID, vals, i) for i in cross.tolist()]
     below = np.count_nonzero(cross < _ABOVE_ONE)
     most_below, most_above, at, sign = _SIGN_PATTERNS[verdict.g_case]
     if not (below <= most_below and len(roots) - below <= most_above and (
@@ -470,30 +466,29 @@ def estimate_nu(e_gap: float, beta_c: float, beta_h: float) -> float:
 def infimum_location(e_gap: float, beta_c: float, beta_h: float, kappa_bar: float) -> Alpha:
     """Which endpoint of [kappa_bar, inf) attains the infimum of gamma.
 
-    A dense log grid (1e4 points up to 1e3) plus the analytic large-order
-    endpoint; an interior sample strictly below both endpoints by more than
-    1e-9 times the smaller endpoint, or 1e-9 where that endpoint is above 1,
-    raises a dichotomy violation rather than being silently accepted.
-    Every grid order is checked; gamma evaluates them in blocks of
-    GAMMA_BLOCK without ln b_alpha', so the call's peak allocation at
-    E = 45, T = (15, 10), cutoff 0.9 is 363 KB (tracemalloc), not 1 MB.
+    g has the sign of gamma', so gamma can have an interior minimum only where
+    g turns from <= 0 to > 0. g is read once, at kappa_bar and at the SIGN_GRID
+    orders above it; each bracket where it turns upward is bisected to its
+    root, and gamma there lying below both endpoints by more than 1e-9 times
+    the smaller endpoint, or 1e-9 where that endpoint is above 1, raises a
+    dichotomy violation rather than being silently accepted.
     """
     if not 0.0 < kappa_bar < 1.0:
         raise ParameterError("cutoff must lie in (0, 1)")
-    grid = np.geomspace(kappa_bar, DICHOTOMY_GRID_MAX, DICHOTOMY_GRID_POINTS)
-    vals = gamma(e_gap, beta_c, beta_h, grid)
-    g_k = float(vals[0])
-    g_inf = gamma_infinity(e_gap, beta_c, beta_h)
-    endpoint_min = min(g_k, g_inf)
-    interior = float(np.min(vals[1:-1]))
-    # the floor keeps the threshold above the rounding of a subnormal endpoint
-    if interior < endpoint_min - 1e-9 * max(min(endpoint_min, 1.0), sys.float_info.min):
-        i = int(np.argmin(vals[1:-1])) + 1
-        raise DichotomyViolationError(
-            f"interior minimum {interior} below both endpoints ({g_k}, {g_inf})",
-            alpha=float(grid[i]),
-            gap=endpoint_min - interior,
-        )
+    orders = np.concatenate(([kappa_bar], SIGN_GRID[SIGN_GRID > kappa_bar]))
+    vals = g_function(e_gap, beta_c, beta_h, orders)
+    up = vals > 0
+    for i in np.flatnonzero(~up[:-1] & up[1:]).tolist():
+        root = _g_root(e_gap, beta_c, beta_h, orders, vals, i)
+        g_k, g_inf = gamma(e_gap, beta_c, beta_h, kappa_bar), gamma_infinity(e_gap, beta_c, beta_h)
+        endpoint_min, dip = min(g_k, g_inf), gamma(e_gap, beta_c, beta_h, root)
+        # the floor keeps the threshold above the rounding of a subnormal endpoint
+        if dip < endpoint_min - 1e-9 * max(min(endpoint_min, 1.0), sys.float_info.min):
+            raise DichotomyViolationError(
+                f"interior minimum {dip} below both endpoints ({g_k}, {g_inf})",
+                alpha=root,
+                gap=endpoint_min - dip,
+            )
     # in logs, so endpoints that both underflow (as at E = 900, T = (20, 1)) still compare
     ln_g_k = math.log(kappa_bar) + float(_ln_k(e_gap, beta_c, beta_h, np.array([kappa_bar]))[0])
     ln_g_inf = math.log(e_gap) - float(np.logaddexp(0.0, beta_c * e_gap))

@@ -193,7 +193,7 @@ class DiagonalState:
         if np.any(probs < 0) or not np.all(np.isfinite(probs)):
             raise ParameterError("probabilities must be finite and nonnegative")
         if abs(float(probs.sum()) - 1.0) > NORMALIZATION_TOL:
-            raise ParameterError(f"probabilities sum to {probs.sum()!r}, not 1")
+            raise ParameterError(f"probabilities sum to {float(probs.sum())!r}, not 1")
         object.__setattr__(self, "probs", tuple(probs.tolist()))
         self.__dict__["array"] = _read_only(probs)
 

@@ -259,9 +259,9 @@ def test_gamma_smooth_through_order_one():
 
 @pytest.mark.filterwarnings("error")
 def test_blocked_gamma_equals_the_order_by_order_calls():
-    # infinite, exactly 1, near-1 and ordinary orders, spread over three blocks
-    alphas = np.geomspace(1e-3, 1e3, 2 * nano.GAMMA_BLOCK + 7)
-    alphas[[0, nano.GAMMA_BLOCK - 1, nano.GAMMA_BLOCK, -1]] = [math.inf, 1.0, 1.0 - 5e-8, math.inf]
+    # infinite, exactly 1, near-1 and ordinary orders, spread over 8199 orders
+    alphas = np.geomspace(1e-3, 1e3, 2 * 4096 + 7)
+    alphas[[0, 4096 - 1, 4096, -1]] = [math.inf, 1.0, 1.0 - 5e-8, math.inf]
     alphas[[5, -3]] = [1.0 + 5e-8, 1.0]
     # every reader of the qubit kernel; at E = 800, beta = (1, 0.05) gamma(inf) is
     # 0.0, and at E = 60, T = (1, 1.05) exp(-2s) underflows above order ~230
@@ -277,7 +277,7 @@ def test_blocked_gamma_equals_the_order_by_order_calls():
 
 
 def test_dichotomy_check_keeps_its_memory_small():
-    grid = np.geomspace(0.9, nano.DICHOTOMY_GRID_MAX, nano.DICHOTOMY_GRID_POINTS)
+    grid = np.geomspace(0.9, nano.DICHOTOMY_GRID_MAX, 10_000)
     for call in (lambda: infimum_location(45.0, BC, BH, 0.9), lambda: gamma(45.0, BC, BH, grid)):
         tracemalloc.start()
         try:
@@ -290,29 +290,35 @@ def test_dichotomy_check_keeps_its_memory_small():
 
 # at E = 300 gamma(inf) = 2.8e-11: the dip lies 2.8e-14 below it, under an absolute 1e-9
 @pytest.mark.parametrize("e", [45.0, 300.0])
-@pytest.mark.parametrize("where", ["last of a block", "first of the next", "last interior"])
-def test_a_dip_at_a_block_edge_raises_as_in_one_pass(monkeypatch, where, e):
-    n = nano.DICHOTOMY_GRID_POINTS
-    i = {"last of a block": nano.GAMMA_BLOCK - 1, "first of the next": nano.GAMMA_BLOCK,
-         "last interior": n - 2}[where]
-    grid = np.geomspace(0.9, nano.DICHOTOMY_GRID_MAX, n)
+@pytest.mark.parametrize("where", ["order 5", "kappa_bar's bracket", "last bracket"])
+def test_an_interior_minimum_raises_at_the_upward_crossing(monkeypatch, where, e):
+    # g turns from - to + at r and back at fall; kappa_bar's own bracket ends at
+    # the first SIGN_GRID order above it, so only a reader that samples g at
+    # kappa_bar sees a crossing there
+    kb = 0.9
+    r, fall = {"order 5": (5.0, 6.0),
+               "kappa_bar's bracket": ((kb + nano.SIGN_GRID[nano.SIGN_GRID > kb][0]) / 2, 6.0),
+               "last bracket": ((nano.SIGN_GRID[-2] + nano.SIGN_GRID[-1]) / 2, 2e3)}[where]
     real = nano.gamma
+    endpoint = min(real(e, BC, BH, kb), gamma_infinity(e, BC, BH))
 
-    def dipped(e_gap, beta_c, beta_h, alpha):
-        # at E = 45 and 300 the infimum is at infinity: dip one interior order below it
-        out = real(e_gap, beta_c, beta_h, alpha)
-        return np.where(np.asarray(alpha) == grid[i], 0.999 * gamma_infinity(e_gap, beta_c, beta_h), out)
+    def dipped(factor):
+        def gamma_(e_gap, beta_c, beta_h, alpha):
+            out = real(e_gap, beta_c, beta_h, alpha)
+            return np.where(np.abs(np.asarray(alpha) - r) <= 1e-12 * r, factor * endpoint, out)
+        return gamma_
 
-    monkeypatch.setattr(nano, "gamma", dipped)
-    raised = []
-    for block in (nano.GAMMA_BLOCK, n):  # blocked, then one-shot
-        monkeypatch.setattr(nano, "GAMMA_BLOCK", block)
-        with pytest.raises(DichotomyViolationError) as info:
-            infimum_location(e, BC, BH, 0.9)
-        raised.append((info.value.alpha, info.value.gap))
-    assert raised[0] == raised[1]
-    g_inf = gamma_infinity(e, BC, BH)
-    assert raised[0] == (grid[i], g_inf - 0.999 * g_inf)
+    monkeypatch.setattr(nano, "g_function", lambda e_gap, beta_c, beta_h, alpha:
+                        (np.asarray(alpha) - r) * (fall - np.asarray(alpha)))
+    # without the dip, and with one inside the margin, the endpoint verdict stands
+    assert infimum_location(e, BC, BH, kb).is_infinity
+    monkeypatch.setattr(nano, "gamma", dipped(1.0 - 1e-10))
+    assert infimum_location(e, BC, BH, kb).is_infinity
+    monkeypatch.setattr(nano, "gamma", dipped(0.999))
+    with pytest.raises(DichotomyViolationError) as info:
+        infimum_location(e, BC, BH, kb)
+    assert abs(info.value.alpha - r) <= math.ulp(r)
+    assert info.value.gap == endpoint - 0.999 * endpoint
 
 
 # --- omega and classification ------------------------------------------------
@@ -497,6 +503,28 @@ def test_regime_roots_and_nu_batch_their_bisection(monkeypatch):
             assert calls["gamma"] <= 15
             bisected += 1
     assert roots > 50 and bisected > 20
+
+
+def test_infimum_location_reads_g_once_and_agrees_with_the_oracle(monkeypatch):
+    calls = {}
+    for name in ("g_function", "gamma"):
+        def counted(*args, _fn=getattr(nano, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(nano, name, counted)
+    rng = make_rng(44)
+    compared = 0
+    for e, bc, bh in regime_map_cells(rng, 100):
+        kb = rng.uniform(1e-4, 0.999)
+        calls.update(g_function=0, gamma=0)
+        at_infinity = infimum_location(e, bc, bh, kb).is_infinity
+        assert calls == {"g_function": 1, "gamma": 0}, (e, bc, bh, kb)
+        g_k, g_inf = qubit_oracle.gamma(e, bc, bh, kb), qubit_oracle.gamma_infinity(e, bc)
+        if abs(g_k - g_inf) > 1e-9 * min(g_k, g_inf):
+            assert at_infinity == (g_k > g_inf), (e, bc, bh, kb)
+            compared += 1
+    assert compared > 90
 
 
 def test_regime_roots_and_nu_take_about_three_calls(monkeypatch):

@@ -859,7 +859,7 @@ def test_validation_negative_paths():
         BatterySpec(EnergySpectrum((0.0, 1.0)), 1, 0, 0.1)  # charged below start
     with pytest.raises(ParameterError):
         BatterySpec(EnergySpectrum((0.0, 1.0)), 0, 1, 1.0)  # eps out of range
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"probabilities sum to 0\.8999999999999999, not 1$"):
         DiagonalState((0.7, 0.2), QUBIT)  # not normalized
     with pytest.raises(ParameterError):
         DiagonalState((1.2, -0.2), QUBIT)  # negative entry
