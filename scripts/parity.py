@@ -494,6 +494,22 @@ def search_edge_records(rec):
             lambda: nh.estimate_kappa_bar(nh.EpsilonFamily.power(c, k)))
 
 
+def extreme_cell_records(rec):
+    """classify and nu on cells far outside the README ranges, where the Newton
+    hints of the root searches are poorest or absent: gaps from 1e-12 to 1.6e3,
+    T_cold from 1e-2 to 1e3 and T_hot / T_cold - 1 from 1e-8 to 10, each
+    log-uniform."""
+    rng = np.random.default_rng(2029)
+    for i in range(200):
+        e = 10 ** rng.uniform(-12, math.log10(1.6e3))
+        t_cold = 10 ** rng.uniform(-2, 3)
+        t_hot = t_cold * (1 + 10 ** rng.uniform(-8, 1))
+        beta_c, beta_h = 1.0 / t_cold, 1.0 / t_hot
+        key = f"extreme[{i}] ({e!r}, {beta_c!r}, {beta_h!r})"
+        rec(f"{key} classify", nh.classify_regime, e, beta_c, beta_h)
+        rec(f"{key} nu", nh.estimate_nu, e, beta_c, beta_h)
+
+
 CLI_RUNS = {
     "sweep-energy": ["sweep", "--mode", "energy", "--t-hot", "15", "--t-cold", "10",
                      "--lo", "1", "--hi", "60", "--steps", "120"],
@@ -614,6 +630,7 @@ def main(argv):
         macro_extension_records(rec)
         schedule_records(rec)
         search_edge_records(rec)
+        extreme_cell_records(rec)
         cli_records(rec)
         help_records(rec)
     print(f"{rec.count} records -> {argv[0]}")

@@ -145,6 +145,15 @@ def _check_qubit_params(e_gap: float, beta_c: float, beta_h: float):
         raise ParameterError("need finite beta_c > beta_h > 0")
 
 
+def _kernel_scalars(e_gap: float, beta_c: float, beta_h: float):
+    """The order-free scalars of `_ln_k`: c = beta_c E / 2, h = D E / 2 (so that
+    z = (a - 1) h), ln(D E^2) and ln(D E^2 / (4 cosh c))."""
+    c = beta_c * e_gap / 2.0
+    ln_de2 = math.log(beta_c - beta_h) + 2.0 * math.log(e_gap)
+    ln_pre = ln_de2 - math.log(2.0) - c - math.log1p(math.exp(-2.0 * c))
+    return c, (beta_c - beta_h) * e_gap / 2.0, ln_de2, ln_pre
+
+
 def _ln_k(e_gap: float, beta_c: float, beta_h: float, a, prime: bool = False):
     """ln K at the orders a >= 0, where K = b_alpha / (a - 1); with ``prime``,
     the pair (ln K, ln b_alpha').
@@ -166,9 +175,9 @@ def _ln_k(e_gap: float, beta_c: float, beta_h: float, a, prime: bool = False):
     _check_qubit_params(e_gap, beta_c, beta_h)
     if (a < 0).any():
         raise ParameterError("order must be nonnegative")
-    c = beta_c * e_gap / 2.0
+    c, h, ln_de2, ln_pre = _kernel_scalars(e_gap, beta_c, beta_h)
     z = np.subtract(a, 1.0)
-    z *= (beta_c - beta_h) * e_gap / 2.0
+    z *= h
     s = np.add(c, z)
     tail = np.multiply(-2.0, np.abs(s, out=s))  # s holds |c + z| from here on
     np.log1p(np.exp(tail, out=tail), out=tail)
@@ -177,8 +186,6 @@ def _ln_k(e_gap: float, beta_c: float, beta_h: float, a, prime: bool = False):
     az = np.abs(z)
     sinhc_2 = np.multiply(-2.0, np.maximum(az, sys.float_info.min, out=az))
     np.divide(np.negative(np.expm1(sinhc_2, out=sinhc_2), out=sinhc_2), az, out=sinhc_2)
-    ln_de2 = math.log(beta_c - beta_h) + 2.0 * math.log(e_gap)
-    ln_pre = ln_de2 - math.log(2.0) - c - math.log1p(math.exp(-2.0 * c))  # ln(D E^2 / (4 cosh c))
     ln_k = np.multiply(2.0, np.minimum(z, 0.0, out=z), out=z)
     np.add(ln_pre, np.minimum(c, np.subtract(-c, ln_k, out=ln_k), out=ln_k), out=ln_k)
     with np.errstate(divide="ignore"):
@@ -400,19 +407,61 @@ def _regime(e_gap: float, beta_c: float, beta_h: float) -> RegimeClassification:
     )
 
 
-def _root(f, lo: float, hi: float, up: bool, ends) -> float:
+def _root(f, lo: float, hi: float, up: bool, ends, hint) -> float:
     """The crossing of ``f`` on [lo, hi] by `_bisect_many`, ``ends`` its values at
-    lo and hi (nan where unknown): the root lies above a point where f's sign
-    (above 0 or not) is the one it has at lo, ``up``."""
+    lo and hi (nan where unknown) and ``hint`` a guess of it (None for none):
+    the root lies above a point where f's sign (above 0 or not) is the one it
+    has at lo, ``up``."""
     depth = _speculation_depth(2)  # the closed forms cost about what a qubit curve does
-    return _bisect_many(lambda xs: f(xs).tolist(), lo, hi, depth, lambda v: (v > 0) == up, ends)
+    return _bisect_many(lambda xs: f(xs).tolist(), lo, hi, depth, lambda v: (v > 0) == up, ends, hint)
+
+
+def _root_hint(e_gap: float, beta_c: float, beta_h: float, lo: float, hi: float,
+               gamma_inf: float | None = None) -> float | None:
+    """A near-exact guess of where on (lo, hi) g crosses 0, or, given
+    ``gamma_inf``, where gamma crosses it; None where there is none.
+
+    g = (a - 1)(a - K / b_alpha') vanishes off order 1 where
+    F = ln a - (ln K - ln b_alpha') = ln a - ln sinhc z - ln cosh s + ln cosh c
+    does, and gamma = gamma(inf) where G = ln a + ln K - ln gamma(inf) vanishes.
+    Six Newton steps in ln a from the geometric middle of the bracket (a
+    SIGN_GRID bracket, or nu's [1e-8, 1)) use the slopes
+    dF/dln a = 1 - a h (coth z - 1/z + tanh s) and
+    dG/dln a = 1 + a h (coth z - 1/z - tanh s), h = (beta_c - beta_h) E / 2,
+    and take ln K and ln b_alpha' by `_ln_k`'s operations on Python floats, so
+    the guess lands near the predicate's own sign change: a median of 1 ulp
+    from the root, and at most 121 ulps over 3000 cells of the README ranges.
+    Steps that overflow, take the log of 0 or end outside the bracket give None.
+    """
+    c, h, ln_de2, ln_pre = _kernel_scalars(e_gap, beta_c, beta_h)
+    a = math.sqrt(lo * hi)
+    try:
+        ln_target = None if gamma_inf is None else math.log(gamma_inf)
+        for _ in range(6):
+            z = (a - 1.0) * h
+            s = abs(c + z)
+            tail = math.log1p(math.exp(-2.0 * s))
+            az = max(abs(z), sys.float_info.min)
+            ln_k = ln_pre + min(c, -c - 2.0 * min(z, 0.0)) + math.log(-math.expm1(-2.0 * az) / az) - tail
+            coth = z / 3.0 if az < 1e-4 else 1.0 / math.tanh(z) - 1.0 / z  # coth z - 1/z
+            if ln_target is None:
+                value = math.log(a) - (ln_k - (ln_de2 - 2.0 * (s + tail)))
+                slope = 1.0 - a * h * (coth + math.tanh(c + z))
+            else:
+                value = math.log(a) + ln_k - ln_target
+                slope = 1.0 + a * h * (coth - math.tanh(c + z))
+            a *= math.exp(-value / slope)
+    except (ArithmeticError, ValueError):  # an overflow, a zero slope, a log of 0
+        return None
+    return a if lo < a < hi else None
 
 
 def _g_root(e_gap: float, beta_c: float, beta_h: float, orders, vals, i: int) -> float:
     """The sign change of g between orders[i] and orders[i + 1], ``vals`` the
     values of g at ``orders``."""
-    return _root(lambda xs: g_function(e_gap, beta_c, beta_h, xs), *orders[i:i + 2].tolist(),
-                 bool(vals[i] > 0), vals[i:i + 2].tolist())
+    lo, hi = orders[i:i + 2].tolist()
+    return _root(lambda xs: g_function(e_gap, beta_c, beta_h, xs), lo, hi, bool(vals[i] > 0),
+                 vals[i:i + 2].tolist(), _root_hint(e_gap, beta_c, beta_h, lo, hi))
 
 
 def classify_regime(e_gap: float, beta_c: float, beta_h: float) -> RegimeClassification:
@@ -455,12 +504,12 @@ def estimate_nu(e_gap: float, beta_c: float, beta_h: float) -> float:
     def f(k):
         return gamma(e_gap, beta_c, beta_h, k) - ginf
 
-    lo = 1e-8
+    lo, hi = 1e-8, 1.0 - 1e-9
     f_lo = f(lo)
     if f_lo > 0:
         return 0.0
     # the root lies above k while gamma(k) is not above its limit (nan is not)
-    return _root(f, lo, 1.0 - 1e-9, False, (f_lo, math.nan))
+    return _root(f, lo, hi, False, (f_lo, math.nan), _root_hint(e_gap, beta_c, beta_h, lo, hi, ginf))
 
 
 def infimum_location(e_gap: float, beta_c: float, beta_h: float, kappa_bar: float) -> Alpha:

@@ -402,26 +402,32 @@ def _bisection_tree(lo: float, hi: float, steps: int) -> list:
     return [mid, *_bisection_tree(mid, hi, steps - 1), *_bisection_tree(lo, mid, steps - 1)]
 
 
-def _guided_points(lo: float, hi: float, last, known: dict, depth: int) -> list:
+def _guided_points(lo: float, hi: float, last, known: dict, depth: int, hint) -> list:
     """The midpoints the bisection of (lo, hi) probes past its first ``depth``
-    steps if the root lies where the values in ``known`` cross 0, that path's
-    bracket ``depth`` steps before adjacent floats replaced by its whole tree.
+    steps if the root lies at a guess, that path's bracket ``depth`` steps
+    before adjacent floats replaced by its whole tree.
 
-    The crossing is guessed by the secant through the ends, or by the
+    The guess is ``hint`` where it lies strictly inside the bracket, which can
+    hold on the first call only: a later call is needed only once the loop
+    has left the hint's side. Otherwise it is where the values in ``known``
+    cross 0, by the secant through the ends, or by the
     inverse-quadratic step through them and ``last``, the end replaced last,
     when that step lands inside the bracket; no guess, no points, if an end
     value is not finite. Distinct finite values have nonzero differences, so
     nothing divides by 0.
     """
-    fa, fb, fc = known[lo], known[hi], known.get(last, math.nan)
-    if not (math.isfinite(fa) and math.isfinite(fb)) or fa == fb:
-        return []
-    guess = lo + (hi - lo) * (fa / (fa - fb))
-    if math.isfinite(fc) and fc != fa and fc != fb:
-        quad = (lo * (fb / (fa - fb)) * (fc / (fa - fc)) + hi * (fa / (fb - fa)) * (fc / (fb - fc))
-                + last * (fa / (fc - fa)) * (fb / (fc - fb)))
-        if lo < quad < hi:
-            guess = quad
+    if hint is not None and lo < hint < hi:  # nan and the infinities fail
+        guess = hint
+    else:
+        fa, fb, fc = known[lo], known[hi], known.get(last, math.nan)
+        if not (math.isfinite(fa) and math.isfinite(fb)) or fa == fb:
+            return []
+        guess = lo + (hi - lo) * (fa / (fa - fb))
+        if math.isfinite(fc) and fc != fa and fc != fb:
+            quad = (lo * (fb / (fa - fb)) * (fc / (fa - fc)) + hi * (fa / (fb - fa)) * (fc / (fb - fc))
+                    + last * (fa / (fc - fa)) * (fb / (fc - fb)))
+            if lo < quad < hi:
+                guess = quad
     path, mid = [], 0.5 * (lo + hi)
     while lo < mid < hi:
         path.append((lo, hi))
@@ -436,7 +442,7 @@ def _guided_points(lo: float, hi: float, last, known: dict, depth: int) -> list:
     return [0.5 * (a + b) for a, b in path[depth:tail]] + _bisection_tree(*path[tail], depth)
 
 
-def _bisect_many(f_many, lo: float, hi: float, depth: int, above=bool, ends=None) -> float:
+def _bisect_many(f_many, lo: float, hi: float, depth: int, above=bool, ends=None, hint=None) -> float:
     """Bisection on [lo, hi]; ``f_many(points)`` gives a value for each point,
     and the root lies above a point whose value v has ``above(v)``.
 
@@ -452,7 +458,12 @@ def _bisect_many(f_many, lo: float, hi: float, depth: int, above=bool, ends=None
     guide the calls: each also gets the path the loop takes if the root lies
     where they cross 0, and the whole tree of that path's last ``depth`` steps
     (``_guided_points``), so a good guess ends the search in that call.
-    Without ``ends``, ``f_many`` may return the answers themselves.
+    A ``hint`` of the root, with ``ends``, takes the values' place in the first
+    call's guess, and a hint near the root ends most searches in one call.
+    Both only advise: every step reads the predicate at its own midpoint, so
+    the root is the one-point search's whatever they say, and a hint that is
+    not finite or lies outside the bracket is ignored. Without ``ends``,
+    ``f_many`` may return the answers themselves.
     """
     known = {} if ends is None else {lo: ends[0], hi: ends[1]}
     last = None  # the end replaced last
@@ -463,7 +474,7 @@ def _bisect_many(f_many, lo: float, hi: float, depth: int, above=bool, ends=None
         if mid not in known:
             points = _bisection_tree(lo, hi, depth)
             if ends is not None:
-                points += _guided_points(lo, hi, last, known, depth)
+                points += _guided_points(lo, hi, last, known, depth, hint)
             known.update(zip(points, f_many(points)))
         if above(known[mid]):
             lo, last = mid, lo

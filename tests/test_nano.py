@@ -454,9 +454,9 @@ def test_batched_roots_match_the_one_point_bisection(monkeypatch):
     roots = []
     batched = nano._bisect_many
 
-    def spy(f_many, lo, hi, depth, above, ends):
+    def spy(f_many, lo, hi, depth, above, ends, hint):
         assert depth == second_laws._speculation_depth(2) == 6
-        root = batched(f_many, lo, hi, depth, above, ends)
+        root = batched(f_many, lo, hi, depth, above, ends, hint)
         assert root == _bisect(lambda x: above(f_many([x])[0]), lo, hi)
         roots.append(root)
         return root
@@ -548,6 +548,83 @@ def test_regime_roots_and_nu_take_about_three_calls(monkeypatch):
     assert g_roots > 50 and nu_roots > 20
     assert g_calls / g_roots <= 4.0
     assert nu_calls / nu_roots <= 4.5
+
+
+def test_hinted_regime_roots_and_nu_take_about_one_call(monkeypatch):
+    # each search gets a Newton hint of its crossing, and the first call holds
+    # the whole path to it: 1.19 g calls per g root and 1.07 gamma calls per
+    # nu root when this bound was set, against about 3 guided by values alone
+    calls = {}
+    for name in ("g_function", "gamma"):
+        def counted(*args, _fn=getattr(nano, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(nano, name, counted)
+    g_roots = g_calls = nu_roots = nu_calls = 0
+    for cell in regime_map_cells(make_rng(43), 100):
+        calls.update(g_function=0, gamma=0)
+        g_roots += len(classify_regime(*cell).g_sign_changes)
+        g_calls += calls["g_function"] - 1  # the sign grid
+        if estimate_nu(*cell) > 0.0:
+            nu_roots += 1
+            nu_calls += calls["gamma"] - 1  # the lower end 1e-8
+    assert g_roots > 50 and nu_roots > 20
+    assert g_calls / g_roots <= 1.5
+    assert nu_calls / nu_roots <= 1.3
+
+
+def hinted_searches(monkeypatch, run):
+    """(hint, root) of each search ``run()`` makes."""
+    searches = []
+    batched = nano._bisect_many
+
+    def spy(*args):
+        root = batched(*args)
+        searches.append((args[-1], root))
+        return root
+
+    monkeypatch.setattr(nano, "_bisect_many", spy)
+    run()
+    return searches
+
+
+def test_root_hints_lie_within_256_ulps_of_the_roots(monkeypatch):
+    def run():
+        for cell in regime_map_cells(make_rng(45), 200):
+            classify_regime(*cell)
+            estimate_nu(*cell)
+
+    searches = hinted_searches(monkeypatch, run)
+    assert len(searches) > 300
+    for hint, root in searches:
+        assert hint is not None and abs(hint - root) <= 256 * math.ulp(root), (hint, root)
+
+
+@pytest.mark.parametrize("e, beta_c, beta_h", [
+    (1e-300, BC, BH), (1e-13, BC, BH),  # the exponents differ below the rounding of 1
+    # gamma(inf) is 8.6e-306 at E = 709 and 0.0 above
+    (709.0, 1.0, 0.05), (760.0, 1.0, 0.05), (800.0, 1.0, 0.05), (1000.0, 1.0, 0.05),
+])
+def test_root_hints_at_the_edge_cells_abstain_without_raising(monkeypatch, e, beta_c, beta_h):
+    # g's only zero at the tiny gaps is the seam's, and nu's crossing lies
+    # outside [1e-8, 1) or gamma(inf) underflows: no hint, nothing raised
+    ginf = gamma_infinity(e, beta_c, beta_h)
+    assert nano._root_hint(e, beta_c, beta_h, 1e-8, 1.0 - 1e-9, ginf) is None
+    grid = nano.SIGN_GRID.tolist()
+    hints = [nano._root_hint(e, beta_c, beta_h, lo, hi) for lo, hi in zip(grid, grid[1:])]
+    searches = hinted_searches(monkeypatch, lambda: (classify_regime(e, beta_c, beta_h),
+                                                     estimate_nu(e, beta_c, beta_h),
+                                                     infimum_location(e, beta_c, beta_h, 0.9)))
+    if e < 1.0:
+        seam = nano._ABOVE_ONE - 1
+        assert hints[:seam] + hints[seam + 1:] == [None] * (len(hints) - 1)
+        assert searches == []
+    else:
+        # the large gaps keep one g root, near 1e-3, and its hint is good
+        assert len(searches) == 1 and hints.count(None) >= len(hints) - 2
+        (hint, root), = searches
+        assert abs(hint - root) <= 256 * math.ulp(root)
 
 
 def test_every_reader_gives_one_verdict_at_the_omega_crossing(tmp_path):

@@ -490,9 +490,27 @@ def tree_only_bisect_many(above_many, lo, hi, depth):
 
 NOISE = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-300, -1.0, 1.0, 1e300, -1e300)
 
+#: Hints named by where they lie, from the bracket (lo, hi) and the crossing;
+#: a float hint is a share of the bracket instead, inside it for shares in
+#: (0, 1), outside it, far outside, NaN or infinite otherwise.
+NAMED_HINTS = {
+    "lo": lambda lo, hi, root: lo,
+    "hi": lambda lo, hi, root: hi,
+    "root": lambda lo, hi, root: root,
+    "ulp below": lambda lo, hi, root: math.nextafter(root, -math.inf),
+    "ulp above": lambda lo, hi, root: math.nextafter(root, math.inf),
+    "far": lambda lo, hi, root: root + 1e6 * (hi - lo),
+    "nan": lambda lo, hi, root: math.nan,
+    "inf": lambda lo, hi, root: math.inf,
+    "-inf": lambda lo, hi, root: -math.inf,
+    "none": lambda lo, hi, root: None,
+}
 
-@settings(max_examples=300, deadline=None)
-@given(
+#: A noisy crossing: a bracket (lo, lo + width), the root's place in it, the
+#: ulps of noise around it, the scale, curvature and direction of the values
+#: and the seed of the noise; then whether the value at hi is known, and the
+#: search depth.
+NOISY_SEARCH = dict(
     lo=st.floats(min_value=-1e3, max_value=1e3),
     width=st.floats(min_value=1e-12, max_value=1e3),
     where=st.floats(min_value=0.0, max_value=1.0),
@@ -504,8 +522,12 @@ NOISE = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-300, -1.0
     hi_known=st.booleans(),
     depth=st.sampled_from([1, 2, 6]),
 )
-def test_guided_bisection_replays_the_one_point_search(lo, width, where, band, scale, bend, up,
-                                                       seed, hi_known, depth):
+
+
+def check_noisy_search(lo, width, where, band, scale, bend, up, seed, hi_known, depth, hint="none"):
+    """The guided search of a noisy crossing, given ``hint`` (a NAMED_HINTS key
+    or a share of the bracket), ends at the one-point search's root and makes
+    no more calls than the tree-only search."""
     hi = lo + width
     root = lo + where * (hi - lo)
     noisy = band * math.ulp(root)
@@ -531,11 +553,25 @@ def test_guided_bisection_replays_the_one_point_search(lo, width, where, band, s
         tree_calls.append(len(points))
         return [above(value(x)) for x in points]
 
+    hint = NAMED_HINTS[hint](lo, hi, root) if isinstance(hint, str) else lo + hint * (hi - lo)
     ends = (value(lo), value(hi) if hi_known else math.nan)
     expected = second_laws._bisect(lambda x: above(value(x)), lo, hi)
-    assert second_laws._bisect_many(f_many, lo, hi, depth, above, ends) == expected
+    assert second_laws._bisect_many(f_many, lo, hi, depth, above, ends, hint) == expected
     assert tree_only_bisect_many(above_many, lo, hi, depth) == expected
     assert len(guided_calls) <= len(tree_calls)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**NOISY_SEARCH)
+def test_guided_bisection_replays_the_one_point_search(**search):
+    check_noisy_search(**search)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**NOISY_SEARCH, hint=st.one_of(st.sampled_from(sorted(NAMED_HINTS)),
+                                      st.floats(min_value=-0.5, max_value=1.5), st.floats()))
+def test_a_hint_only_advises_the_guided_bisection(**search):
+    check_noisy_search(**search)
 
 
 def test_qubit_solve_batches_its_refinement(monkeypatch):
