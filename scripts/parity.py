@@ -71,6 +71,15 @@ def alpha_records(rec):
         rec(f"Alpha.of({x!r})", alpha_view, x)
 
 
+def bracket_orders(inst):
+    """63 orders strictly inside the grid bracket around the grid minimum, the
+    interval a solve's refinement searches: on most instances no order there
+    lies on the seam or imposes no bound, unlike the 43-order column below."""
+    grid = second_laws.ALPHA_GRID
+    i = int(np.argmin(second_laws.work_curve_values(inst, grid)))
+    return np.geomspace(grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)], 65)[1:-1]
+
+
 def instance_records(rec, key, inst, solve=True):
     for a in ORDERS:
         rec(f"{key} w_alpha({a!r})", nh.w_alpha, inst, a)
@@ -78,6 +87,8 @@ def instance_records(rec, key, inst, solve=True):
     rec(f"{key} work_curve_values", lambda: second_laws.work_curve_values(inst, grid).tolist())
     if solve:
         rec(f"{key} max_extractable_work", nh.max_extractable_work, inst)
+        rec(f"{key} work_curve_values bracket", lambda: second_laws.work_curve_values(
+            inst, bracket_orders(inst)).tolist())
     rec(f"{key} feasible fwd", nh.transition_feasible, inst.cold_initial, inst.cold_final, inst.beta_h)
     rec(f"{key} feasible bwd", nh.transition_feasible, inst.cold_final, inst.cold_initial, inst.beta_h)
     for a in ORDERS:

@@ -204,18 +204,18 @@ def _gibbs_pair(rho0: DiagonalState, rho1: DiagonalState, beta_h: float) -> Tupl
 # ---------------------------------------------------------------------------
 
 def _log_a(inst: TransitionInstance, alphas: np.ndarray) -> np.ndarray:
-    """ln A = copies * [ln sum p^a q^(1-a) - ln sum p'^a q^(1-a)]; handed
-    ALPHA_GRID itself, it reads the power sums the cold states memoize, and
-    other orders take one pass over both states when their supports have
-    equal size."""
+    """ln A = copies * [ln sum p^a q^(1-a) - ln sum p'^a q^(1-a)] over a 1-D
+    float array of orders; handed ALPHA_GRID itself, it reads the power sums
+    the cold states memoize, and other orders take one pass over both states
+    when their supports have equal size."""
     initial, final = inst._gibbs_logs
     if alphas is ALPHA_GRID:
         return inst.copies * (initial.grid_sums - final.grid_sums)
-    a = np.atleast_1d(np.asarray(alphas, dtype=float))[:, None]
+    a = alphas[:, None]
     if inst._stacked_logs is None:
         return inst.copies * (initial.logs.log_power_sum(a) - final.logs.log_power_sum(a))
-    first, second = inst._stacked_logs.log_power_sum(a)
-    return inst.copies * (first - second)
+    sums = inst._stacked_logs.log_power_sum(a)
+    return inst.copies * (sums[0] - sums[1])
 
 
 def _w_one(inst: TransitionInstance) -> float:
@@ -249,34 +249,47 @@ def _w_infinity(inst: TransitionInstance) -> float:
 
 
 def work_curve_values(inst: TransitionInstance, alphas) -> np.ndarray:
-    """Vectorized W_alpha over an array of finite positive orders.
+    """Vectorized W_alpha over a 1-D array of finite positive orders.
 
     Entries where the order imposes no finite bound come back as +inf. Orders
-    within ALPHA_SEAM of 1 take W_1 plus its first-order term.
+    within ALPHA_SEAM of 1 take W_1 plus its first-order term. The formula's
+    ufuncs write the bounded lanes into the +inf-filled result. Where no
+    order lies on the seam or imposes no bound, they run with ``where=True``,
+    numpy's unmasked loop, on every lane; otherwise a lane mask skips the
+    others. The seam mask is built only for a column whose range comes within
+    ALPHA_SEAM of 1. Both give each lane the same arithmetic.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
-    if not ((alphas > 0.0) & (alphas < math.inf)).all():
+    if alphas.ndim != 1:
+        raise ParameterError("grid orders must be a 1-D array")
+    out = np.full(alphas.shape, math.inf)
+    if not alphas.size:
+        return out
+    lo, hi = alphas.min(), alphas.max()  # nan if an order is
+    if not (lo > 0.0 and hi < math.inf):
         raise ParameterError("grid orders must be finite and positive")
     eps = inst.battery.eps
-    out = np.full(alphas.shape, math.inf)
-    seam = np.abs(alphas - 1.0) <= ALPHA_SEAM
-    if seam.any():
-        w1 = _w_one(inst)
-        slope = _w_one_slope(inst)
-        out[seam] = w1 + (alphas[seam] - 1.0) * slope
+    seam, on_seam = np.False_, False  # not False: ~np.False_ is np.True_
+    if lo - 1.0 <= ALPHA_SEAM and 1.0 - hi <= ALPHA_SEAM:  # rounded differences are monotone
+        seam = np.abs(alphas - 1.0) <= ALPHA_SEAM
+        on_seam = seam.any()
+        if on_seam:
+            out[seam] = _w_one(inst) + (alphas[seam] - 1.0) * _w_one_slope(inst)
     ln_a = _log_a(inst, alphas)
     ln_eps = math.log(eps) if eps > 0.0 else -math.inf
     # ln(eps^a / A), taken as -inf where A = 0, so that the bound there is
     # ln A / (beta_h (a - 1)) for every eps; clipping ln A keeps the branch
-    # np.where discards free of nan at eps = A = 0
+    # np.where discards free of nan at eps = A = 0, so gap is never nan
     gap = np.where(ln_a > -math.inf, alphas * ln_eps - np.maximum(ln_a, -_BIG), -math.inf)
-    ok = ~seam & (gap < 0)
-    if (~(seam | ok) & (alphas >= 1.0)).any():
-        raise ConstraintViolationError(
-            "A - eps^alpha <= 0 at an order >= 1; not a valid engine instance"
-        )
+    ok = True  # every lane bounded, none on the seam
+    if on_seam or gap.max() >= 0.0:
+        ok = ~seam & (gap < 0)
+        if (~(seam | ok) & (alphas >= 1.0)).any():
+            raise ConstraintViolationError(
+                "A - eps^alpha <= 0 at an order >= 1; not a valid engine instance"
+            )
     # (ln A + ln(1 - eps^a / A) - a ln(1 - eps)) / (beta_h (a - 1)) on the
-    # bounded lanes, in place in gap; the others keep out's +inf
+    # bounded lanes, in place in gap; the others keep out's value
     v = np.exp(gap, out=gap, where=ok)
     np.log1p(np.negative(v, out=v, where=ok), out=v, where=ok)
     np.add(ln_a, v, out=v, where=ok)

@@ -17,6 +17,7 @@ DiagonalState memoizes its logs against one Gibbs state, of the latest beta
 asked for, in one slot (``DiagonalState.gibbs_logs``). Two workers that use
 one state at different betas replace each other's slot, but each call still
 returns the memo for its own beta, so a race only costs a recomputation.
+A SupportLogs likewise builds its lanes-first view once, on first use.
 """
 from __future__ import annotations
 
@@ -319,15 +320,19 @@ def _check_pair(p: DiagonalState, q: DiagonalState):
         raise DomainError("reference state must have full rank")
 
 
-class SupportLogs(NamedTuple):
-    """A pair (p, q) restricted to the support of p, with the logs of both; every
-    divergence of the pair is read from it. Building it never raises or warns:
-    where q underflows on the support, lq holds -inf."""
-
+class _SupportFields(NamedTuple):
     p: np.ndarray
     q: np.ndarray
     lp: np.ndarray
     lq: np.ndarray
+
+
+class SupportLogs(_SupportFields):
+    """A pair (p, q) restricted to the support of p, with the logs of both; every
+    divergence of the pair is read from it. Building it never raises or warns:
+    where q underflows on the support, lq holds -inf. The four arrays are a
+    named tuple (p, q, lp, lq); a record also keeps, built on first use, its
+    lanes-first view for the column path (``log_power_sum``)."""
 
     @classmethod
     def of(cls, p: np.ndarray, q: np.ndarray) -> "SupportLogs":
@@ -362,45 +367,59 @@ class SupportLogs(NamedTuple):
         orders; a stacked record (``stack``) gives one row of sums per record.
 
         A column is evaluated in row blocks of at most BLOCK_ELEMENTS terms,
-        counting every record of a stack (a shorter column is one block), in
-        buffers allocated once per call and reused block after block: freeing
-        block-sized temporaries can make the allocator return the memory to the
-        OS and fault it back in, which on 4096 levels cost more than the
-        arithmetic. The buffers hold a support of _PAIRWISE_LANES lanes or more
+        counting every record of a stack, in buffers allocated once per call
+        and reused block after block: freeing block-sized temporaries can make
+        the allocator return the memory to the OS and fault it back in, which
+        on 4096 levels cost more than the arithmetic. A column of one block (a
+        shorter column) returns that block's sums, with no buffer for the
+        column. The buffers hold a support of _PAIRWISE_LANES lanes or more
         orders first, one row of lanes per order. A narrower one, a qubit's 2
         lanes say, they hold lanes first, one run of orders per lane (shaped
-        lanes, stack, orders, 1): numpy reduces a short last axis one inner
-        loop per row, so every pass then runs along the orders instead, and
-        the row maxima and sums reduce the first axis. A block
-        holding a row whose max is not finite goes through ``logsumexp``; any
-        other is shifted by its row maxima (rows of at least _ROW_BUFFER_MIN
-        lanes and at most half numpy's ufunc buffer size in a buffer of one
-        row) and takes one of two ``exp`` paths: a plain ``exp`` when every
-        shifted exponent is at or above EXP_CUT, else ``exp`` on those lanes
-        only and 0.0 on the others (below the cut ``exp`` gives 0.0 through its
-        slow underflow path). Every lane gets the value ``exp`` would give it
-        and each row (one order, one record) is summed on its own by
-        ``np.add.reduce`` over its lanes, which under _PAIRWISE_LANES lanes adds
-        them from the left in either layout, so the values are those of the
-        one-pass expression of each record, bit for bit.
+        lanes, stack, orders, 1), from the record's lanes-first view of lp and
+        lq, built on its first column: numpy reduces a short last axis one
+        inner loop per row, so every pass then runs along the orders instead,
+        and the row maxima and sums reduce the first axis. A block holding a
+        row whose max is not finite goes through ``logsumexp``; any other is
+        shifted by its row maxima (rows of at least _ROW_BUFFER_MIN lanes and
+        at most half numpy's ufunc buffer size in a buffer of one row) and
+        takes one of two ``exp`` paths: a plain ``exp`` when every shifted
+        exponent is at or above EXP_CUT, else ``exp`` on those lanes only and
+        0.0 on the others (below the cut ``exp`` gives 0.0 through its slow
+        underflow path). Orders first, a lane mask in a buffer of the call
+        tells the two apart; lanes first, the block's minimum does, and the
+        mask is built only for a block with a lane below the cut. Every lane
+        gets the value ``exp`` would give it and each row (one order, one
+        record) is summed on its own by ``np.add.reduce`` over its lanes,
+        which under _PAIRWISE_LANES lanes adds them from the left in either
+        layout, so the values are those of the one-pass expression of each
+        record, bit for bit.
         """
         if np.ndim(a) == 0:
             return logsumexp(self._exponents(a))
         lanes, lead = self.lp.shape[-1], self.lp.shape[:-2]
         rows = max(1, min(len(a), BLOCK_ELEMENTS // self.lp.size))
-        logs, shape = self, lead + (rows, lanes)
-        if lanes < _PAIRWISE_LANES:  # lanes first; lp and lq shaped (lanes, stack, 1, 1)
-            shape = (lanes,) + lead + (rows, 1)
-            logs = SupportLogs(self.p, self.q, *(f.T.reshape(shape[:-2] + (1, 1)) for f in (self.lp, self.lq)))
-        x, term, keep = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
-        top = np.empty(lead + (rows, 1))
+        if lanes < _PAIRWISE_LANES:
+            logs, shape, keep = self._lanes_first, (lanes,) + lead + (rows, 1), None
+        else:
+            logs, shape = self, lead + (rows, lanes)
+            keep = np.empty(shape, dtype=bool)
+        x, term, top = np.empty(shape), np.empty(shape), np.empty(lead + (rows, 1))
+        if rows == len(a):  # one block
+            return logs._block_sums(a, x, term, keep, top)
         sums = np.empty(lead + (len(a),))
         for i in range(0, len(a), rows):
             r = min(rows, len(a) - i)
             if r < rows:  # the last block is partial
-                x, term, keep, top = (buf[..., :r, :] for buf in (x, term, keep, top))
+                x, term, top = (buf[..., :r, :] for buf in (x, term, top))
+                keep = None if keep is None else keep[..., :r, :]
             sums[..., i:i + r] = logs._block_sums(a[i:i + r], x, term, keep, top)
         return sums
+
+    @cached_property
+    def _lanes_first(self) -> "SupportLogs":
+        """This record with lp and lq shaped (lanes, stack, 1, 1)."""
+        shape = self.lp.shape[-1:] + self.lp.shape[:-2] + (1, 1)
+        return SupportLogs(self.p, self.q, self.lp.T.reshape(shape), self.lq.T.reshape(shape))
 
     def _exponents(self, a, out=None, term=None):
         x = np.multiply(a, self.lp, out=out)
@@ -411,9 +430,10 @@ class SupportLogs(NamedTuple):
         """The column path's sums for the orders a (a column), computed in the
         buffers x and term (after the stack axis of a stacked record, a's rows
         by the lanes, or with the lanes first, ahead of those, and one lane
-        last), keep (the same in bools) and top (the stack axis, a's rows and
-        one lane); one sum per row. The lane axis, the last or, with the lanes
-        first, the first, is reduced by numpy's own reductions."""
+        last), keep (the same in bools, or None with the lanes first) and top
+        (the stack axis, a's rows and one lane); one sum per row. The lane
+        axis, the last or, with the lanes first, the first, is reduced by
+        numpy's own reductions."""
         self._exponents(a, x, term)
         lanes = x.shape[-1]  # 1 when the lanes come first
         axis = -1 if lanes >= _PAIRWISE_LANES else 0  # the lane axis; top keeps it only when last
@@ -426,8 +446,11 @@ class SupportLogs(NamedTuple):
                 x -= top
         else:
             x -= top
-        np.greater_equal(x, EXP_CUT, out=keep)
-        if np.count_nonzero(keep) == keep.size:  # cheaper than keep.all() on qubit blocks
+        if keep is None:  # x holds no nan once every row max is finite
+            keep = True if x.min() >= EXP_CUT else x >= EXP_CUT
+        elif np.count_nonzero(np.greater_equal(x, EXP_CUT, out=keep)) == keep.size:
+            keep = True
+        if keep is True:
             np.exp(x, out=term)
         else:
             term.fill(0.0)  # what exp gives the lanes below the cut

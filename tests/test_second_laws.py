@@ -24,7 +24,7 @@ from nanoheat import (
 )
 from nanoheat import second_laws
 from nanoheat.second_laws import _w_one, work_curve_values
-from nanoheat.thermo import SupportLogs
+from nanoheat.thermo import EXP_CUT, SupportLogs
 
 from conftest import make_rng
 
@@ -853,7 +853,7 @@ def test_perfect_work_onto_an_underflowed_level_is_minus_infinity():
         max_extractable_work(inst)
 
 
-# --- one ln A function, one masked pass over the orders ------------------------
+# --- one ln A function, one pass over the orders -------------------------------
 
 @pytest.mark.parametrize("copies", [1, 3])
 @pytest.mark.parametrize("bath", [(1.0,), tuple(make_rng(21).uniform(1.0, 60.0, 12))],
@@ -878,14 +878,61 @@ def test_log_a_off_the_grid_equals_the_per_state_sums(rank_deficient):
     assert second_laws._log_a(inst, a).tobytes() == per_state.tobytes()
 
 
-def test_one_pass_over_mixed_orders_equals_the_order_by_order_calls():
+def _readme_instance(e_gap, eps=1e-10):
+    # a row of the README energy sweep: T_hot = 15, T_cold = 10, g = 1e-5
+    return quasi_static_instance(QubitBath((e_gap,)).spectrum(), 0.1, 1 / 15, 1e-5, eps)
+
+
+def _bracket_orders(inst):
+    """63 orders strictly inside the grid bracket around the grid minimum, where
+    the refinement of a qubit solve evaluates them."""
+    grid = second_laws.ALPHA_GRID
+    i = int(np.argmin(work_curve_values(inst, grid)))
+    return np.geomspace(grid[i - 1], grid[i + 1], 65)[1:-1]
+
+
+def _mixed_column():
     # heating the cold bath up to the hot Gibbs state with eps = 0.9: the orders
     # up to 0.6 impose no finite bound; 0.9, the seam orders and those above 1 do
     inst = TransitionInstance(thermal_state(QUBIT, 3.0), thermal_state(QUBIT, 0.3), 0.3, 3.0, battery(0.9))
-    alphas = [0.01, 1.0 - 5e-7, 0.1, 0.6, 1.0 + 5e-7, 0.9, 1.5, 3.0, 1e3]
+    return inst, np.array([0.01, 1.0 - 5e-7, 0.1, 0.6, 1.0 + 5e-7, 0.9, 1.5, 3.0, 1e3])
+
+
+def _bracket_column():
+    inst = _readme_instance(15.0)
+    return inst, _bracket_orders(inst)
+
+
+def _bracket_seam_unbounded_column():
+    # the same states with a battery that fails almost always: orders up to
+    # about 0.2 impose no bound, the bracket's orders do
+    orders = _bracket_orders(_readme_instance(15.0))
+    return _readme_instance(15.0, eps=0.99999), np.concatenate([orders, [1.0 + 5e-7, 0.1]])
+
+
+def _below_cut_column():
+    return _readme_instance(60.0), np.geomspace(1e3, 1e6, 63)
+
+
+@pytest.mark.parametrize("make, seam_lanes, unbounded_lanes, below_cut", [
+    pytest.param(_mixed_column, 2, 3, True, id="mixed-orders"),
+    pytest.param(_bracket_column, 0, 0, False, id="readme-bracket"),
+    pytest.param(_bracket_seam_unbounded_column, 1, 1, False, id="readme-bracket-seam-unbounded"),
+    pytest.param(_below_cut_column, 0, 0, True, id="below-exp-cut"),
+])
+def test_one_pass_over_mixed_orders_equals_the_order_by_order_calls(make, seam_lanes, unbounded_lanes, below_cut):
+    # a column with no lane on the seam or unbounded runs the formula in numpy's
+    # unmasked loop on every lane, any other under a lane mask; the power sums
+    # skip exp on lanes below EXP_CUT: each lane keeps the bits of its own call
+    inst, alphas = make()
+    logs, a = inst._stacked_logs, alphas[:, None]
+    x = a * logs.lp + (1.0 - a) * logs.lq
+    assert (x - x.max(axis=-1, keepdims=True) < EXP_CUT).any() == below_cut
     together = work_curve_values(inst, alphas)
     alone = np.concatenate([work_curve_values(inst, [a]) for a in alphas])
-    assert np.isposinf(together).tolist() == [True, False, True, True] + [False] * 5
+    seam = np.abs(alphas - 1.0) <= second_laws.ALPHA_SEAM
+    assert seam.sum() == seam_lanes
+    assert np.isposinf(together).sum() == unbounded_lanes
     assert together.tobytes() == alone.tobytes()
     assert work_curve_values(inst, []).shape == (0,)
 
@@ -913,6 +960,10 @@ def test_validation_negative_paths():
     for beta_h in (math.nan, math.inf):
         with pytest.raises(ParameterError):
             transition_feasible(t, t, beta_h)
+    inst = still_instance(0.1)
+    for orders in ([[2.0, 3.0]], np.full((2, 2, 1), 2.0), np.empty((0, 3))):
+        with pytest.raises(ParameterError, match="1-D"):
+            work_curve_values(inst, orders)
 
 
 def test_perfect_work_randomized_sweep():
