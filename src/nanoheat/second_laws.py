@@ -256,8 +256,7 @@ def work_curve_values(inst: TransitionInstance, alphas) -> np.ndarray:
     ufuncs write the bounded lanes into the +inf-filled result. Where no
     order lies on the seam or imposes no bound, they run with ``where=True``,
     numpy's unmasked loop, on every lane; otherwise a lane mask skips the
-    others. The seam mask is built only for a column whose range comes within
-    ALPHA_SEAM of 1. Both give each lane the same arithmetic.
+    others. Both give each lane the same arithmetic.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     if alphas.ndim != 1:
@@ -269,12 +268,11 @@ def work_curve_values(inst: TransitionInstance, alphas) -> np.ndarray:
     if not (lo > 0.0 and hi < math.inf):
         raise ParameterError("grid orders must be finite and positive")
     eps = inst.battery.eps
-    seam, on_seam = np.False_, False  # not False: ~np.False_ is np.True_
-    if lo - 1.0 <= ALPHA_SEAM and 1.0 - hi <= ALPHA_SEAM:  # rounded differences are monotone
-        seam = np.abs(alphas - 1.0) <= ALPHA_SEAM
-        on_seam = seam.any()
-        if on_seam:
-            out[seam] = _w_one(inst) + (alphas[seam] - 1.0) * _w_one_slope(inst)
+    shift = alphas - 1.0
+    seam = np.abs(shift) <= ALPHA_SEAM
+    on_seam = np.count_nonzero(seam) > 0
+    if on_seam:
+        out[seam] = _w_one(inst) + shift[seam] * _w_one_slope(inst)
     ln_a = _log_a(inst, alphas)
     ln_eps = math.log(eps) if eps > 0.0 else -math.inf
     # ln(eps^a / A), taken as -inf where A = 0, so that the bound there is
@@ -294,7 +292,7 @@ def work_curve_values(inst: TransitionInstance, alphas) -> np.ndarray:
     np.log1p(np.negative(v, out=v, where=ok), out=v, where=ok)
     np.add(ln_a, v, out=v, where=ok)
     np.subtract(v, alphas * math.log1p(-eps), out=v, where=ok)
-    return np.divide(v, inst.beta_h * (alphas - 1.0), out=out, where=ok)
+    return np.divide(v, inst.beta_h * shift, out=out, where=ok)
 
 
 def w_alpha(inst: TransitionInstance, alpha) -> float:

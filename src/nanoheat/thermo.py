@@ -17,7 +17,6 @@ DiagonalState memoizes its logs against one Gibbs state, of the latest beta
 asked for, in one slot (``DiagonalState.gibbs_logs``). Two workers that use
 one state at different betas replace each other's slot, but each call still
 returns the memo for its own beta, so a race only costs a recomputation.
-A SupportLogs likewise builds its lanes-first view once, on first use.
 """
 from __future__ import annotations
 
@@ -320,19 +319,15 @@ def _check_pair(p: DiagonalState, q: DiagonalState):
         raise DomainError("reference state must have full rank")
 
 
-class _SupportFields(NamedTuple):
+class SupportLogs(NamedTuple):
+    """A pair (p, q) restricted to the support of p, with the logs of both; every
+    divergence of the pair is read from it. Building it never raises or warns:
+    where q underflows on the support, lq holds -inf."""
+
     p: np.ndarray
     q: np.ndarray
     lp: np.ndarray
     lq: np.ndarray
-
-
-class SupportLogs(_SupportFields):
-    """A pair (p, q) restricted to the support of p, with the logs of both; every
-    divergence of the pair is read from it. Building it never raises or warns:
-    where q underflows on the support, lq holds -inf. The four arrays are a
-    named tuple (p, q, lp, lq); a record also keeps, built on first use, its
-    lanes-first view for the column path (``log_power_sum``)."""
 
     @classmethod
     def of(cls, p: np.ndarray, q: np.ndarray) -> "SupportLogs":
@@ -375,87 +370,85 @@ class SupportLogs(_SupportFields):
         column. The buffers hold a support of _PAIRWISE_LANES lanes or more
         orders first, one row of lanes per order. A narrower one, a qubit's 2
         lanes say, they hold lanes first, one run of orders per lane (shaped
-        lanes, stack, orders, 1), from the record's lanes-first view of lp and
-        lq, built on its first column: numpy reduces a short last axis one
-        inner loop per row, so every pass then runs along the orders instead,
-        and the row maxima and sums reduce the first axis. A block holding a
-        row whose max is not finite goes through ``logsumexp``; any other is
-        shifted by its row maxima (rows of at least _ROW_BUFFER_MIN lanes and
-        at most half numpy's ufunc buffer size in a buffer of one row) and
-        takes one of two ``exp`` paths: a plain ``exp`` when every shifted
-        exponent is at or above EXP_CUT, else ``exp`` on those lanes only and
-        0.0 on the others (below the cut ``exp`` gives 0.0 through its slow
-        underflow path). Orders first, a lane mask in a buffer of the call
-        tells the two apart; lanes first, the block's minimum does, and the
-        mask is built only for a block with a lane below the cut. Every lane
-        gets the value ``exp`` would give it and each row (one order, one
-        record) is summed on its own by ``np.add.reduce`` over its lanes,
-        which under _PAIRWISE_LANES lanes adds them from the left in either
-        layout, so the values are those of the one-pass expression of each
-        record, bit for bit.
+        lanes, stack, orders, 1), from views of lp and lq shaped (lanes, stack,
+        1, 1): numpy reduces a short last axis one inner loop per row, so
+        every pass then runs along the orders instead, and the row maxima and
+        sums reduce the first axis. A block holding a row whose max is not
+        finite goes through ``logsumexp``; any other is shifted by its row
+        maxima (rows of at least _ROW_BUFFER_MIN lanes and at most half
+        numpy's ufunc buffer size in a buffer of one row) and takes one of two
+        ``exp`` paths: a plain ``exp`` when every shifted exponent is at or
+        above EXP_CUT, else ``exp`` on those lanes only and 0.0 on the others
+        (below the cut ``exp`` gives 0.0 through its slow underflow path).
+        Orders first, a lane mask in a buffer of the call tells the two apart;
+        lanes first, the block's minimum does, and the mask is built only for
+        a block with a lane below the cut. Every lane gets the value ``exp``
+        would give it and each row (one order, one record) is summed on its
+        own by ``np.add.reduce`` over its lanes, which under _PAIRWISE_LANES
+        lanes adds them from the left in either layout, so the values are
+        those of the one-pass expression of each record, bit for bit.
         """
+        lp, lq = self.lp, self.lq
         if np.ndim(a) == 0:
-            return logsumexp(self._exponents(a))
-        lanes, lead = self.lp.shape[-1], self.lp.shape[:-2]
-        rows = max(1, min(len(a), BLOCK_ELEMENTS // self.lp.size))
+            return logsumexp(_exponents(a, lp, lq))
+        lanes, lead = lp.shape[-1], lp.shape[:-2]
+        rows = max(1, min(len(a), BLOCK_ELEMENTS // lp.size))
         if lanes < _PAIRWISE_LANES:
-            logs, shape, keep = self._lanes_first, (lanes,) + lead + (rows, 1), None
+            shape, keep = (lanes,) + lead + (rows, 1), None
+            view = (lanes,) + lead + (1, 1)
+            lp, lq = lp.T.reshape(view), lq.T.reshape(view)
         else:
-            logs, shape = self, lead + (rows, lanes)
+            shape = lead + (rows, lanes)
             keep = np.empty(shape, dtype=bool)
         x, term, top = np.empty(shape), np.empty(shape), np.empty(lead + (rows, 1))
         if rows == len(a):  # one block
-            return logs._block_sums(a, x, term, keep, top)
+            return _block_sums(a, lp, lq, x, term, keep, top)
         sums = np.empty(lead + (len(a),))
         for i in range(0, len(a), rows):
             r = min(rows, len(a) - i)
             if r < rows:  # the last block is partial
                 x, term, top = (buf[..., :r, :] for buf in (x, term, top))
                 keep = None if keep is None else keep[..., :r, :]
-            sums[..., i:i + r] = logs._block_sums(a[i:i + r], x, term, keep, top)
+            sums[..., i:i + r] = _block_sums(a[i:i + r], lp, lq, x, term, keep, top)
         return sums
 
-    @cached_property
-    def _lanes_first(self) -> "SupportLogs":
-        """This record with lp and lq shaped (lanes, stack, 1, 1)."""
-        shape = self.lp.shape[-1:] + self.lp.shape[:-2] + (1, 1)
-        return SupportLogs(self.p, self.q, self.lp.T.reshape(shape), self.lq.T.reshape(shape))
 
-    def _exponents(self, a, out=None, term=None):
-        x = np.multiply(a, self.lp, out=out)
-        x += np.multiply(1.0 - a, self.lq, out=term)
-        return x
+def _exponents(a, lp, lq, out=None, term=None):
+    x = np.multiply(a, lp, out=out)
+    x += np.multiply(1.0 - a, lq, out=term)
+    return x
 
-    def _block_sums(self, a, x, term, keep, top):
-        """The column path's sums for the orders a (a column), computed in the
-        buffers x and term (after the stack axis of a stacked record, a's rows
-        by the lanes, or with the lanes first, ahead of those, and one lane
-        last), keep (the same in bools, or None with the lanes first) and top
-        (the stack axis, a's rows and one lane); one sum per row. The lane
-        axis, the last or, with the lanes first, the first, is reduced by
-        numpy's own reductions."""
-        self._exponents(a, x, term)
-        lanes = x.shape[-1]  # 1 when the lanes come first
-        axis = -1 if lanes >= _PAIRWISE_LANES else 0  # the lane axis; top keeps it only when last
-        np.maximum.reduce(x, axis=axis, keepdims=bool(axis), out=top)
-        if not np.isfinite(top).all():
-            return logsumexp(x, axis=axis).reshape(top.shape[:-1])
-        if _ROW_BUFFER_MIN <= lanes <= np.getbufsize() // 2:
-            with np.errstate():  # the caller's buffer size comes back on exit
-                np.setbufsize(lanes - lanes % 16)
-                x -= top
-        else:
+
+def _block_sums(a, lp, lq, x, term, keep, top):
+    """The column path's sums of the logs lp and lq for the orders a (a
+    column), computed in the buffers x and term (after the stack axis of a
+    stacked record, a's rows by the lanes, or with the lanes first, ahead of
+    those, and one lane last), keep (the same in bools, or None with the lanes
+    first) and top (the stack axis, a's rows and one lane); one sum per row.
+    The lane axis, the last or, with the lanes first, the first, is reduced by
+    numpy's own reductions."""
+    _exponents(a, lp, lq, x, term)
+    lanes = x.shape[-1]  # 1 when the lanes come first
+    axis = -1 if lanes >= _PAIRWISE_LANES else 0  # the lane axis; top keeps it only when last
+    np.maximum.reduce(x, axis=axis, keepdims=bool(axis), out=top)
+    if not np.isfinite(top).all():
+        return logsumexp(x, axis=axis).reshape(top.shape[:-1])
+    if _ROW_BUFFER_MIN <= lanes <= np.getbufsize() // 2:
+        with np.errstate():  # the caller's buffer size comes back on exit
+            np.setbufsize(lanes - lanes % 16)
             x -= top
-        if keep is None:  # x holds no nan once every row max is finite
-            keep = True if x.min() >= EXP_CUT else x >= EXP_CUT
-        elif np.count_nonzero(np.greater_equal(x, EXP_CUT, out=keep)) == keep.size:
-            keep = True
-        if keep is True:
-            np.exp(x, out=term)
-        else:
-            term.fill(0.0)  # what exp gives the lanes below the cut
-            np.exp(x, out=term, where=keep)
-        return (np.log(np.add.reduce(term, axis=axis, keepdims=bool(axis))) + top)[..., 0]
+    else:
+        x -= top
+    if keep is None:  # x holds no nan once every row max is finite
+        keep = True if x.min() >= EXP_CUT else x >= EXP_CUT
+    elif np.count_nonzero(np.greater_equal(x, EXP_CUT, out=keep)) == keep.size:
+        keep = True
+    if keep is True:
+        np.exp(x, out=term)
+    else:
+        term.fill(0.0)  # what exp gives the lanes below the cut
+        np.exp(x, out=term, where=keep)
+    return (np.log(np.add.reduce(term, axis=axis, keepdims=bool(axis))) + top)[..., 0]
 
 
 class GibbsLogs:
@@ -470,8 +463,9 @@ class GibbsLogs:
 
     @cached_property
     def grid_sums(self) -> np.ndarray:
-        """ln sum p^a tau^(1-a) for every order a of ALPHA_GRID."""
-        return _read_only(self.logs.log_power_sum(ALPHA_GRID[:, None]))
+        """ln sum p^a tau^(1-a) for every order a of ALPHA_GRID, in an array
+        of its own (a one-block column's sums are a view)."""
+        return _read_only(self.logs.log_power_sum(ALPHA_GRID[:, None]).copy())
 
 
 def kl_divergence_and_variance(p: DiagonalState, q: DiagonalState) -> Tuple[float, float]:

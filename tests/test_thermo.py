@@ -22,7 +22,7 @@ from nanoheat import (
     thermal_state,
 )
 from nanoheat.second_laws import ALPHA_GRID_MAX, ALPHA_GRID_MIN, ALPHA_GRID_POINTS
-from nanoheat.thermo import _PAIRWISE_LANES, ALPHA_SEAM, BLOCK_ELEMENTS, EXP_CUT, SupportLogs, logsumexp
+from nanoheat.thermo import _PAIRWISE_LANES, ALPHA_SEAM, BLOCK_ELEMENTS, EXP_CUT, SupportLogs, _block_sums, logsumexp
 
 from conftest import make_rng
 
@@ -318,6 +318,8 @@ def test_arrays_are_read_only():
     assert state.array is state.array and spectrum.array is spectrum.array
     probs[0] = 0.9  # the state owns a copy
     assert state.array.tolist() == [0.2, 0.3, 0.5] and probs.flags.writeable
+    sums = state.gibbs_logs(0.4).grid_sums  # one block: the memo owns its copy
+    assert sums.base is None and not sums.flags.writeable
 
 
 def test_memos_leave_equality_hash_and_repr_alone():
@@ -623,7 +625,7 @@ def test_column_power_sum_allocates_no_block_sized_temporaries():
         x, term = np.empty((2, rows, logs.lp.size))
         keep, top = np.empty(x.shape, dtype=bool), np.empty((rows, 1))
         tracemalloc.reset_peak()
-        logs._block_sums(GRID[:rows], x, term, keep, top)
+        _block_sums(GRID[:rows], logs.lp, logs.lq, x, term, keep, top)
         block_peak = tracemalloc.get_traced_memory()[1] - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
