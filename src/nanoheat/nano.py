@@ -407,13 +407,12 @@ def _regime(e_gap: float, beta_c: float, beta_h: float) -> RegimeClassification:
     )
 
 
-def _root(f, lo: float, hi: float, up: bool, ends, hint) -> float:
-    """The crossing of ``f`` on [lo, hi] by `_bisect_many`, ``ends`` its values at
-    lo and hi (nan where unknown) and ``hint`` a guess of it (None for none):
-    the root lies above a point where f's sign (above 0 or not) is the one it
-    has at lo, ``up``."""
+def _root(f, lo: float, hi: float, up: bool, hint) -> float:
+    """The crossing of ``f`` on [lo, hi] by `_bisect_many`, ``hint`` a guess of it
+    (None for none): the root lies above a point where f's sign (above 0 or
+    not) is the one it has at lo, ``up``."""
     depth = _speculation_depth(2)  # the closed forms cost about what a qubit curve does
-    return _bisect_many(lambda xs: f(xs).tolist(), lo, hi, depth, lambda v: (v > 0) == up, ends, hint)
+    return _bisect_many(lambda xs: ((f(xs) > 0) == up).tolist(), lo, hi, depth, hint)
 
 
 def _root_hint(e_gap: float, beta_c: float, beta_h: float, lo: float, hi: float,
@@ -461,7 +460,7 @@ def _g_root(e_gap: float, beta_c: float, beta_h: float, orders, vals, i: int) ->
     values of g at ``orders``."""
     lo, hi = orders[i:i + 2].tolist()
     return _root(lambda xs: g_function(e_gap, beta_c, beta_h, xs), lo, hi, bool(vals[i] > 0),
-                 vals[i:i + 2].tolist(), _root_hint(e_gap, beta_c, beta_h, lo, hi))
+                 _root_hint(e_gap, beta_c, beta_h, lo, hi))
 
 
 def classify_regime(e_gap: float, beta_c: float, beta_h: float) -> RegimeClassification:
@@ -505,11 +504,10 @@ def estimate_nu(e_gap: float, beta_c: float, beta_h: float) -> float:
         return gamma(e_gap, beta_c, beta_h, k) - ginf
 
     lo, hi = 1e-8, 1.0 - 1e-9
-    f_lo = f(lo)
-    if f_lo > 0:
+    if f(lo) > 0:
         return 0.0
     # the root lies above k while gamma(k) is not above its limit (nan is not)
-    return _root(f, lo, hi, False, (f_lo, math.nan), _root_hint(e_gap, beta_c, beta_h, lo, hi, ginf))
+    return _root(f, lo, hi, False, _root_hint(e_gap, beta_c, beta_h, lo, hi, ginf))
 
 
 def infimum_location(e_gap: float, beta_c: float, beta_h: float, kappa_bar: float) -> Alpha:

@@ -413,36 +413,19 @@ def _bisection_tree(lo: float, hi: float, steps: int) -> list:
     return [mid, *_bisection_tree(mid, hi, steps - 1), *_bisection_tree(lo, mid, steps - 1)]
 
 
-def _guided_points(lo: float, hi: float, last, known: dict, depth: int, hint) -> list:
+def _guided_points(lo: float, hi: float, depth: int, hint) -> list:
     """The midpoints the bisection of (lo, hi) probes past its first ``depth``
-    steps if the root lies at a guess, that path's bracket ``depth`` steps
-    before adjacent floats replaced by its whole tree.
-
-    The guess is ``hint`` where it lies strictly inside the bracket, which can
-    hold on the first call only: a later call is needed only once the loop
-    has left the hint's side. Otherwise it is where the values in ``known``
-    cross 0, by the secant through the ends, or by the
-    inverse-quadratic step through them and ``last``, the end replaced last,
-    when that step lands inside the bracket; no guess, no points, if an end
-    value is not finite. Distinct finite values have nonzero differences, so
-    nothing divides by 0.
+    steps if the root lies at ``hint``, that path's bracket ``depth`` steps
+    before adjacent floats replaced by its whole tree; none unless the hint
+    lies strictly inside the bracket, which can hold on the first call only: a
+    later call is needed only once the loop has left the hint's side.
     """
-    if hint is not None and lo < hint < hi:  # nan and the infinities fail
-        guess = hint
-    else:
-        fa, fb, fc = known[lo], known[hi], known.get(last, math.nan)
-        if not (math.isfinite(fa) and math.isfinite(fb)) or fa == fb:
-            return []
-        guess = lo + (hi - lo) * (fa / (fa - fb))
-        if math.isfinite(fc) and fc != fa and fc != fb:
-            quad = (lo * (fb / (fa - fb)) * (fc / (fa - fc)) + hi * (fa / (fb - fa)) * (fc / (fb - fc))
-                    + last * (fa / (fc - fa)) * (fb / (fc - fb)))
-            if lo < quad < hi:
-                guess = quad
+    if hint is None or not lo < hint < hi:  # nan and the infinities fail
+        return []
     path, mid = [], 0.5 * (lo + hi)
     while lo < mid < hi:
         path.append((lo, hi))
-        if mid < guess:
+        if mid < hint:
             lo = mid
         else:
             hi = mid
@@ -453,44 +436,37 @@ def _guided_points(lo: float, hi: float, last, known: dict, depth: int, hint) ->
     return [0.5 * (a + b) for a, b in path[depth:tail]] + _bisection_tree(*path[tail], depth)
 
 
-def _bisect_many(f_many, lo: float, hi: float, depth: int, above=bool, ends=None, hint=None) -> float:
-    """Bisection on [lo, hi]; ``f_many(points)`` gives a value for each point,
-    and the root lies above a point whose value v has ``above(v)``.
+def _bisect_many(above_many, lo: float, hi: float, depth: int, hint=None) -> float:
+    """Bisection on [lo, hi]; ``above_many(points)`` tells for each point
+    whether the root lies above it.
 
     Halves the bracket until its midpoint is no longer strictly inside it,
     i.e. down to adjacent floats, and returns that midpoint. Each call of
-    ``f_many`` gets the midpoint the loop needs now and every midpoint the
+    ``above_many`` gets the midpoint the loop needs now and every midpoint the
     next ``depth - 1`` steps could probe after it, 2**depth - 1 in all; the
     loop reads its answers from those, so it takes the same steps as with one
     point per call, whatever the predicate, and calls at most once every
     ``depth`` steps.
 
-    ``ends``, the values at lo and hi (nan where unknown), lets the values
-    guide the calls: each also gets the path the loop takes if the root lies
-    where they cross 0, and the whole tree of that path's last ``depth`` steps
-    (``_guided_points``), so a good guess ends the search in that call.
-    A ``hint`` of the root, with ``ends``, takes the values' place in the first
-    call's guess, and a hint near the root ends most searches in one call.
-    Both only advise: every step reads the predicate at its own midpoint, so
-    the root is the one-point search's whatever they say, and a hint that is
-    not finite or lies outside the bracket is ignored. Without ``ends``,
-    ``f_many`` may return the answers themselves.
+    A ``hint`` of the root adds to the first call the path the loop takes if
+    the root lies there, and the whole tree of that path's last ``depth`` steps
+    (``_guided_points``), so a hint near the root ends most searches in one
+    call. It only advises: every step reads the predicate at its own midpoint,
+    so the root is the one-point search's whatever it says, and a hint that is
+    not finite or lies outside the bracket is ignored.
     """
-    known = {} if ends is None else {lo: ends[0], hi: ends[1]}
-    last = None  # the end replaced last
+    known = {}
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return mid
         if mid not in known:
-            points = _bisection_tree(lo, hi, depth)
-            if ends is not None:
-                points += _guided_points(lo, hi, last, known, depth, hint)
-            known.update(zip(points, f_many(points)))
-        if above(known[mid]):
-            lo, last = mid, lo
+            points = _bisection_tree(lo, hi, depth) + _guided_points(lo, hi, depth, hint)
+            known.update(zip(points, above_many(points)))
+        if known[mid]:
+            lo = mid
         else:
-            hi, last = mid, hi
+            hi = mid
 
 
 def _bisect(root_above, lo: float, hi: float) -> float:

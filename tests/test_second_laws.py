@@ -472,8 +472,8 @@ def test_batched_bisection_replays_the_one_point_search(predicate, bracket, dept
 
 
 def tree_only_bisect_many(above_many, lo, hi, depth):
-    """Reference: the batched bisection before its values guided the calls, one
-    tree of the next ``depth`` steps per call."""
+    """Reference: the batched bisection without a hint, one tree of the next
+    ``depth`` steps per call."""
     known = {}
     while True:
         mid = 0.5 * (lo + hi)
@@ -508,8 +508,7 @@ NAMED_HINTS = {
 
 #: A noisy crossing: a bracket (lo, lo + width), the root's place in it, the
 #: ulps of noise around it, the scale, curvature and direction of the values
-#: and the seed of the noise; then whether the value at hi is known, and the
-#: search depth.
+#: and the seed of the noise; then the search depth.
 NOISY_SEARCH = dict(
     lo=st.floats(min_value=-1e3, max_value=1e3),
     width=st.floats(min_value=1e-12, max_value=1e3),
@@ -519,46 +518,43 @@ NOISY_SEARCH = dict(
     bend=st.floats(min_value=-0.9, max_value=10.0),
     up=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**32),
-    hi_known=st.booleans(),
     depth=st.sampled_from([1, 2, 6]),
 )
 
 
-def check_noisy_search(lo, width, where, band, scale, bend, up, seed, hi_known, depth, hint="none"):
-    """The guided search of a noisy crossing, given ``hint`` (a NAMED_HINTS key
+def check_noisy_search(lo, width, where, band, scale, bend, up, seed, depth, hint="none"):
+    """The hinted search of a noisy crossing, given ``hint`` (a NAMED_HINTS key
     or a share of the bracket), ends at the one-point search's root and makes
     no more calls than the tree-only search."""
     hi = lo + width
     root = lo + where * (hi - lo)
     noisy = band * math.ulp(root)
 
-    def value(x):
+    def above(x):
         # a curved function with its sign change at root, answering at random
         # within `band` ulps of it: wrong signs, NaN, infinities and zeros
         if abs(x - root) <= noisy:
-            return NOISE[hash((x, seed)) % len(NOISE)]
-        t = (x - lo) / (hi - lo)
-        return (1.0 if up else -1.0) * scale * (root - x) * (1.0 + bend * t * t)
-
-    def above(v):
+            v = NOISE[hash((x, seed)) % len(NOISE)]
+        else:
+            t = (x - lo) / (hi - lo)
+            v = (1.0 if up else -1.0) * scale * (root - x) * (1.0 + bend * t * t)
         return (v > 0) == up
 
-    guided_calls, tree_calls = [], []
+    hinted_calls, tree_calls = [], []
 
-    def f_many(points):
-        guided_calls.append(len(points))
-        return [value(x) for x in points]
+    def hinted_many(points):
+        hinted_calls.append(len(points))
+        return [above(x) for x in points]
 
     def above_many(points):
         tree_calls.append(len(points))
-        return [above(value(x)) for x in points]
+        return [above(x) for x in points]
 
     hint = NAMED_HINTS[hint](lo, hi, root) if isinstance(hint, str) else lo + hint * (hi - lo)
-    ends = (value(lo), value(hi) if hi_known else math.nan)
-    expected = second_laws._bisect(lambda x: above(value(x)), lo, hi)
-    assert second_laws._bisect_many(f_many, lo, hi, depth, above, ends, hint) == expected
+    expected = second_laws._bisect(above, lo, hi)
+    assert second_laws._bisect_many(hinted_many, lo, hi, depth, hint) == expected
     assert tree_only_bisect_many(above_many, lo, hi, depth) == expected
-    assert len(guided_calls) <= len(tree_calls)
+    assert len(hinted_calls) <= len(tree_calls)
 
 
 @settings(max_examples=300, deadline=None)
