@@ -481,7 +481,7 @@ def schedule_records(rec):
 
 
 def search_edge_records(rec):
-    """Root searches where the values guess the root worst: nu near the 1e-8
+    """Root searches far from a typical cell: nu near the 1e-8
     floor (about 80 bisection steps), g-roots within one sign-grid step of 1e-3
     and of 1e3, and g-roots in the brackets next to the order-1 seam. Then the
     sample counts, trial counts and family parameters the package rejects."""
@@ -519,6 +519,16 @@ def extreme_cell_records(rec):
         key = f"extreme[{i}] ({e!r}, {beta_c!r}, {beta_h!r})"
         rec(f"{key} classify", nh.classify_regime, e, beta_c, beta_h)
         rec(f"{key} nu", nh.estimate_nu, e, beta_c, beta_h)
+    # cold cells with close temperatures, as (E, T_cold, T_hot / T_cold): ln K and
+    # ln b_alpha' each carry about 1e3 at the first, and gamma(inf) underflows
+    # to 0.0 at the other three
+    for e, t_cold, ratio in ((38.6, 0.0173, 1.001), (38.163, 0.02341, 1.00602),
+                             (41.913, 0.01518, 1.0334), (57.921, 0.01213, 1.0903)):
+        beta_c, beta_h = 1.0 / t_cold, 1.0 / (t_cold * ratio)
+        key = f"cold close cell ({e!r}, {t_cold!r}, {ratio!r})"
+        rec(f"{key} classify", nh.classify_regime, e, beta_c, beta_h)
+        rec(f"{key} nu", nh.estimate_nu, e, beta_c, beta_h)
+        rec(f"{key} g_function", lambda: nh.nano.g_function(e, beta_c, beta_h, [0.5, 0.85, 2.0]).tolist())
 
 
 CLI_RUNS = {

@@ -145,54 +145,72 @@ def _check_qubit_params(e_gap: float, beta_c: float, beta_h: float):
         raise ParameterError("need finite beta_c > beta_h > 0")
 
 
-def _kernel_scalars(e_gap: float, beta_c: float, beta_h: float):
-    """The order-free scalars of `_ln_k`: c = beta_c E / 2, h = D E / 2 (so that
-    z = (a - 1) h), ln(D E^2) and ln(D E^2 / (4 cosh c))."""
+def _kernel_scalars(e_gap: float, beta_c: float, beta_h: float, form: str):
+    """The order-free scalars of `_ln_k` in ``form``: c = beta_c E / 2, h = D E / 2
+    (so that z = (a - 1) h) and the log of the form's prefactor."""
     c = beta_c * e_gap / 2.0
-    ln_de2 = math.log(beta_c - beta_h) + 2.0 * math.log(e_gap)
-    ln_pre = ln_de2 - math.log(2.0) - c - math.log1p(math.exp(-2.0 * c))
-    return c, (beta_c - beta_h) * e_gap / 2.0, ln_de2, ln_pre
+    if form == "K/gamma_inf":
+        pre = math.log(beta_c - beta_h) + math.log(0.5 * e_gap)  # ln(D E / 2)
+    elif form == "K/b'":
+        pre = -math.log(2.0) - math.log1p(math.exp(-2.0 * c))
+    else:
+        pre = math.log(beta_c - beta_h) + 2.0 * math.log(e_gap)  # ln(D E^2)
+        if form == "K":  # ln(D E^2 / (4 cosh c))
+            pre = pre - math.log(2.0) - c - math.log1p(math.exp(-2.0 * c))
+    return c, (beta_c - beta_h) * e_gap / 2.0, pre
 
 
-def _ln_k(e_gap: float, beta_c: float, beta_h: float, a, prime: bool = False):
-    """ln K at the orders a >= 0, where K = b_alpha / (a - 1); with ``prime``,
-    the pair (ln K, ln b_alpha').
+def _ln_k(e_gap: float, beta_c: float, beta_h: float, a, form: str = "K"):
+    """ln K at the orders a >= 0, where K = b_alpha / (a - 1), or in ``form`` "b'"
+    ln b_alpha', "K/b'" ln(K / b_alpha') and "K/gamma_inf" ln(K / gamma(inf)).
 
     With D = beta_c - beta_h, c = beta_c E / 2, z = (a - 1) D E / 2 and
     s = c + z = beta_a E / 2, the qubit closed forms are
 
         K = D E^2 sinhc(z) / (4 cosh c cosh s),    b_alpha' = D E^2 / (4 cosh^2 s),
 
-    with sinhc(z) = sinh(z) / z and sinhc(0) = 1, so K is finite at order 1;
-    both logs are -inf at infinite orders. ln(sinh|z| / cosh s) is taken as
-    (|z| - |s|) + ln(1 - e^(-2|z|)) - ln(1 + e^(-2|s|)) with |z| - |s| =
-    min(c, -c - 2 min(z, 0)), so the terms that grow like z cancel exactly.
-    Each intermediate (z, |s|, the tail, |z|, sinhc) has one array that later
-    steps overwrite in place, and every order sees its operations in one fixed
-    order, ln K = ((ln_pre + (|z| - |s|)) + ln sinhc_2) - tail, so an array of
-    orders gives each order the bits of a call on that order alone.
+    and gamma(inf) = E / (1 + e^(2c)), with sinhc(z) = sinh(z) / z and
+    sinhc(0) = 1, so K is finite at order 1; ln K and ln b_alpha' are -inf at
+    infinite orders. ln(sinh|z| / cosh s) is taken as (|z| - |s|) +
+    ln(1 - e^(-2|z|)) - ln(1 + e^(-2|s|)) with |z| - |s| = min(c, -c - 2 min(z, 0)),
+    so the terms that grow like z cancel exactly. In the ratios the terms that
+    grow like c cancel too, before any rounding:
+
+        ln(K / b_alpha')    = -ln 2 - ln(1 + e^(-2c)) + max(2z, 0, -2s) + ln sinhc_2 + tail,
+        ln(K / gamma(inf))  = ln(D E / 2) + min(2c, -2 min(z, 0)) + ln sinhc_2 - tail,
+
+    with sinhc_2 = 2 e^(-|z|) sinhc(z) and tail = ln(1 + e^(-2|s|)). Each
+    intermediate has one array that later steps overwrite in place, and every
+    order sees its operations in one fixed order, as ln K = ((pre + (|z| -
+    |s|)) + ln sinhc_2) - tail, so an array of orders gives each order the bits
+    of a call on that order alone.
     """
     _check_qubit_params(e_gap, beta_c, beta_h)
     if (a < 0).any():
         raise ParameterError("order must be nonnegative")
-    c, h, ln_de2, ln_pre = _kernel_scalars(e_gap, beta_c, beta_h)
+    c, h, pre = _kernel_scalars(e_gap, beta_c, beta_h, form)
     z = np.subtract(a, 1.0)
     z *= h
     s = np.add(c, z)
     tail = np.multiply(-2.0, np.abs(s, out=s))  # s holds |c + z| from here on
     np.log1p(np.exp(tail, out=tail), out=tail)
+    if form == "b'":
+        return np.subtract(pre, np.multiply(2.0, np.add(s, tail, out=s), out=s), out=s)
     # 2 e^(-|z|) sinhc(z) = (1 - e^(-2|z|)) / |z|: exactly 2 for every |z| below
     # the smallest normal double, and 0 at infinite orders
     az = np.abs(z)
     sinhc_2 = np.multiply(-2.0, np.maximum(az, sys.float_info.min, out=az))
     np.divide(np.negative(np.expm1(sinhc_2, out=sinhc_2), out=sinhc_2), az, out=sinhc_2)
-    ln_k = np.multiply(2.0, np.minimum(z, 0.0, out=z), out=z)
-    np.add(ln_pre, np.minimum(c, np.subtract(-c, ln_k, out=ln_k), out=ln_k), out=ln_k)
+    if form == "K/b'":  # 2 max(z, 0, -s), -c - z being exactly -s
+        out = np.maximum(np.maximum(z, 0.0), np.subtract(-c, z, out=z), out=z)
+        np.add(pre, np.multiply(2.0, out, out=out), out=out)
+        with np.errstate(divide="ignore", invalid="ignore"):  # -inf + inf at infinite orders
+            return np.add(np.add(out, np.log(sinhc_2, out=sinhc_2), out=out), tail, out=out)
+    m, n = (c, c) if form == "K" else (2.0 * c, 0.0)  # min(m, -n - 2 min(z, 0))
+    out = np.multiply(2.0, np.minimum(z, 0.0, out=z), out=z)
+    np.add(pre, np.minimum(m, np.subtract(-n, out, out=out), out=out), out=out)
     with np.errstate(divide="ignore"):
-        np.subtract(np.add(ln_k, np.log(sinhc_2, out=sinhc_2), out=ln_k), tail, out=ln_k)
-    if not prime:
-        return ln_k
-    return ln_k, np.subtract(ln_de2, np.multiply(2.0, np.add(s, tail, out=s), out=s), out=s)
+        return np.subtract(np.add(out, np.log(sinhc_2, out=sinhc_2), out=out), tail, out=out)
 
 
 def b_alpha(e_gap: float, beta_c: float, beta_h: float, alpha) -> np.ndarray | float:
@@ -236,7 +254,7 @@ def b_alpha_prime(e_gap: float, beta_c: float, beta_h: float, alpha) -> np.ndarr
     """Derivative of b_alpha in the order, (beta_c - beta_h) times the energy
     variance at beta_a; strictly positive for beta_c > beta_h."""
     a_in = np.asarray(alpha, dtype=float)
-    out = np.exp(_ln_k(e_gap, beta_c, beta_h, np.atleast_1d(a_in), prime=True)[1])
+    out = np.exp(_ln_k(e_gap, beta_c, beta_h, np.atleast_1d(a_in), "b'"))
     return float(out[0]) if a_in.ndim == 0 else out
 
 
@@ -326,12 +344,11 @@ def g_function(e_gap: float, beta_c: float, beta_h: float, alpha) -> np.ndarray 
     of gamma's derivative, and it is 0 at order 1."""
     a_in = np.asarray(alpha, dtype=float)
     a = np.atleast_1d(a_in)
-    ln_k, ln_b_prime = _ln_k(e_gap, beta_c, beta_h, a, prime=True)
+    ln_r = _ln_k(e_gap, beta_c, beta_h, a, "K/b'")
     am1 = a - 1.0
     # K/b_alpha' ~ e^(2z) / z passes the float range at large orders, and a(a - 1)
     # above ~1.34e154; where both do, the sign of a - K/b_alpha' decides (-inf at inf)
     with np.errstate(over="ignore", invalid="ignore"):
-        ln_r = ln_k - ln_b_prime
         out = a * am1 - am1 * np.exp(ln_r)
     if not a.max(initial=0.0) <= 1e154:  # one test keeps the lane work off moderate orders
         big = np.isnan(out) & ~np.isnan(a)
@@ -416,38 +433,37 @@ def _root(f, lo: float, hi: float, up: bool, hint) -> float:
 
 
 def _root_hint(e_gap: float, beta_c: float, beta_h: float, lo: float, hi: float,
-               gamma_inf: float | None = None) -> float | None:
-    """A near-exact guess of where on (lo, hi) g crosses 0, or, given
-    ``gamma_inf``, where gamma crosses it; None where there is none.
+               form: str = "K/b'") -> float | None:
+    """A near-exact guess of where on (lo, hi) g crosses 0, or, with ``form``
+    "K/gamma_inf", where gamma crosses gamma(inf); None where there is none.
 
     g = (a - 1)(a - K / b_alpha') vanishes off order 1 where
-    F = ln a - (ln K - ln b_alpha') = ln a - ln sinhc z - ln cosh s + ln cosh c
-    does, and gamma = gamma(inf) where G = ln a + ln K - ln gamma(inf) vanishes.
+    F = ln a - ln(K / b_alpha') = ln a - ln sinhc z - ln cosh s + ln cosh c
+    does, and gamma = gamma(inf) where G = ln a + ln(K / gamma(inf)) vanishes.
     Six Newton steps in ln a from the geometric middle of the bracket (a
     SIGN_GRID bracket, or nu's [1e-8, 1)) use the slopes
     dF/dln a = 1 - a h (coth z - 1/z + tanh s) and
     dG/dln a = 1 + a h (coth z - 1/z - tanh s), h = (beta_c - beta_h) E / 2,
-    and take ln K and ln b_alpha' by `_ln_k`'s operations on Python floats, so
+    and take the ratio by `_ln_k`'s operations in ``form`` on Python floats, so
     the guess lands near the predicate's own sign change: a median of 1 ulp
-    from the root, and at most 121 ulps over 3000 cells of the README ranges.
+    from the root (2 for nu), and at most 36 ulps over 3000 cells of the README
+    ranges.
     Steps that overflow, take the log of 0 or end outside the bracket give None.
     """
-    c, h, ln_de2, ln_pre = _kernel_scalars(e_gap, beta_c, beta_h)
+    c, h, pre = _kernel_scalars(e_gap, beta_c, beta_h, form)
     a = math.sqrt(lo * hi)
     try:
-        ln_target = None if gamma_inf is None else math.log(gamma_inf)
         for _ in range(6):
             z = (a - 1.0) * h
-            s = abs(c + z)
-            tail = math.log1p(math.exp(-2.0 * s))
+            tail = math.log1p(math.exp(-2.0 * abs(c + z)))
             az = max(abs(z), sys.float_info.min)
-            ln_k = ln_pre + min(c, -c - 2.0 * min(z, 0.0)) + math.log(-math.expm1(-2.0 * az) / az) - tail
+            ln_sinhc_2 = math.log(-math.expm1(-2.0 * az) / az)
             coth = z / 3.0 if az < 1e-4 else 1.0 / math.tanh(z) - 1.0 / z  # coth z - 1/z
-            if ln_target is None:
-                value = math.log(a) - (ln_k - (ln_de2 - 2.0 * (s + tail)))
+            if form == "K/b'":
+                value = math.log(a) - (pre + 2.0 * max(z, 0.0, -c - z) + ln_sinhc_2 + tail)
                 slope = 1.0 - a * h * (coth + math.tanh(c + z))
             else:
-                value = math.log(a) + ln_k - ln_target
+                value = math.log(a) + (pre + min(2.0 * c, -2.0 * min(z, 0.0)) + ln_sinhc_2 - tail)
                 slope = 1.0 + a * h * (coth - math.tanh(c + z))
             a *= math.exp(-value / slope)
     except (ArithmeticError, ValueError):  # an overflow, a zero slope, a log of 0
@@ -498,16 +514,16 @@ def estimate_nu(e_gap: float, beta_c: float, beta_h: float) -> float:
     """
     if _regime(e_gap, beta_c, beta_h).carnot_achievable:
         return 0.0
-    ginf = gamma_infinity(e_gap, beta_c, beta_h)
 
-    def f(k):
-        return gamma(e_gap, beta_c, beta_h, k) - ginf
+    def f(k):  # ln(gamma(k) / gamma(inf)): no term of it grows with beta_c E
+        k = np.asarray(k, dtype=float)
+        return np.log(k) + _ln_k(e_gap, beta_c, beta_h, k, "K/gamma_inf")
 
     lo, hi = 1e-8, 1.0 - 1e-9
-    if f(lo) > 0:
+    if f([lo])[0] > 0:
         return 0.0
     # the root lies above k while gamma(k) is not above its limit (nan is not)
-    return _root(f, lo, hi, False, _root_hint(e_gap, beta_c, beta_h, lo, hi, ginf))
+    return _root(f, lo, hi, False, _root_hint(e_gap, beta_c, beta_h, lo, hi, "K/gamma_inf"))
 
 
 def infimum_location(e_gap: float, beta_c: float, beta_h: float, kappa_bar: float) -> Alpha:
@@ -536,10 +552,10 @@ def infimum_location(e_gap: float, beta_c: float, beta_h: float, kappa_bar: floa
                 alpha=root,
                 gap=endpoint_min - dip,
             )
-    # in logs, so endpoints that both underflow (as at E = 900, T = (20, 1)) still compare
-    ln_g_k = math.log(kappa_bar) + float(_ln_k(e_gap, beta_c, beta_h, np.array([kappa_bar]))[0])
-    ln_g_inf = math.log(e_gap) - float(np.logaddexp(0.0, beta_c * e_gap))
-    return Alpha.of(kappa_bar) if ln_g_k <= ln_g_inf else Alpha.INFINITY
+    # ln(gamma(kappa_bar) / gamma(inf)), so endpoints that both underflow (as at
+    # E = 900, T = (20, 1)) still compare
+    ln_ratio = _ln_k(e_gap, beta_c, beta_h, np.array([kappa_bar]), "K/gamma_inf")[0]
+    return Alpha.of(kappa_bar) if math.log(kappa_bar) + ln_ratio <= 0.0 else Alpha.INFINITY
 
 
 # ---------------------------------------------------------------------------

@@ -69,3 +69,28 @@ def g_function(e_gap, beta_c, beta_h, a):
         _, _, _, a, b, b_prime = _parts(e_gap, beta_c, beta_h, a)
         ratio = b / b_prime
         return +(a * (a - 1) - ratio), +(a * abs(a - 1) + abs(ratio))
+
+
+def root(f, x):
+    """The zero of ``f`` next to the double ``x``, by a 50-digit secant from x and
+    the double above it."""
+    with mpmath.workdps(50):
+        x0, x1 = mpmath.mpf(x), mpmath.mpf(math.nextafter(x, math.inf))
+        f0, f1 = f(x0), f(x1)
+        for _ in range(50):
+            if f1 == f0 or abs(x1 - x0) <= mpmath.mpf(10) ** -45 * abs(x1):
+                break
+            x0, x1, f0 = x1, x1 - f1 * (x1 - x0) / (f1 - f0), f1
+            f1 = f(x1)
+        return +x1
+
+
+def g_root(e_gap, beta_c, beta_h, a):
+    """The zero of g next to the order ``a``."""
+    return root(lambda x: g_function(e_gap, beta_c, beta_h, x)[0], a)
+
+
+def nu_root(e_gap, beta_c, beta_h, k):
+    """The order next to ``k`` where gamma crosses gamma(inf)."""
+    g_inf = gamma_infinity(e_gap, beta_c)
+    return root(lambda x: gamma(e_gap, beta_c, beta_h, x) - g_inf, k)
