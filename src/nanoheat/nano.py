@@ -149,7 +149,7 @@ def _kernel_scalars(e_gap: float, beta_c: float, beta_h: float, form: str):
     """The order-free scalars of `_ln_k` in ``form``: c = beta_c E / 2, h = D E / 2
     (so that z = (a - 1) h) and the log of the form's prefactor."""
     c = beta_c * e_gap / 2.0
-    if form == "K/gamma_inf":
+    if form == "gamma/gamma_inf":
         pre = math.log(beta_c - beta_h) + math.log(0.5 * e_gap)  # ln(D E / 2)
     elif form == "K/b'":
         pre = -math.log(2.0) - math.log1p(math.exp(-2.0 * c))
@@ -162,7 +162,7 @@ def _kernel_scalars(e_gap: float, beta_c: float, beta_h: float, form: str):
 
 def _ln_k(e_gap: float, beta_c: float, beta_h: float, a, form: str = "K"):
     """ln K at the orders a >= 0, where K = b_alpha / (a - 1), or in ``form`` "b'"
-    ln b_alpha', "K/b'" ln(K / b_alpha') and "K/gamma_inf" ln(K / gamma(inf)).
+    ln b_alpha', "K/b'" ln(K / b_alpha') and "gamma/gamma_inf" ln(gamma / gamma(inf)).
 
     With D = beta_c - beta_h, c = beta_c E / 2, z = (a - 1) D E / 2 and
     s = c + z = beta_a E / 2, the qubit closed forms are
@@ -176,10 +176,12 @@ def _ln_k(e_gap: float, beta_c: float, beta_h: float, a, form: str = "K"):
     so the terms that grow like z cancel exactly. In the ratios the terms that
     grow like c cancel too, before any rounding:
 
-        ln(K / b_alpha')    = -ln 2 - ln(1 + e^(-2c)) + max(2z, 0, -2s) + ln sinhc_2 + tail,
-        ln(K / gamma(inf))  = ln(D E / 2) + min(2c, -2 min(z, 0)) + ln sinhc_2 - tail,
+        ln(K / b_alpha')          = -ln 2 - ln(1 + e^(-2c)) + max(2z, 0, -2s) + ln sinhc_2 + tail,
+        ln(gamma / gamma(inf))    = ln a + min(2c, -2 min(z, 0)) + ln(D E / 2) + ln sinhc_2 - tail,
 
-    with sinhc_2 = 2 e^(-|z|) sinhc(z) and tail = ln(1 + e^(-2|s|)). Each
+    with sinhc_2 = 2 e^(-|z|) sinhc(z) and tail = ln(1 + e^(-2|s|)); ln a and
+    the min, which nearly cancel where gamma crosses gamma(inf), are added
+    first. Each
     intermediate has one array that later steps overwrite in place, and every
     order sees its operations in one fixed order, as ln K = ((pre + (|z| -
     |s|)) + ln sinhc_2) - tail, so an array of orders gives each order the bits
@@ -208,7 +210,10 @@ def _ln_k(e_gap: float, beta_c: float, beta_h: float, a, form: str = "K"):
             return np.add(np.add(out, np.log(sinhc_2, out=sinhc_2), out=out), tail, out=out)
     m, n = (c, c) if form == "K" else (2.0 * c, 0.0)  # min(m, -n - 2 min(z, 0))
     out = np.multiply(2.0, np.minimum(z, 0.0, out=z), out=z)
-    np.add(pre, np.minimum(m, np.subtract(-n, out, out=out), out=out), out=out)
+    np.minimum(m, np.subtract(-n, out, out=out), out=out)
+    if form == "gamma/gamma_inf":
+        out += np.log(a)
+    np.add(pre, out, out=out)
     with np.errstate(divide="ignore"):
         return np.subtract(np.add(out, np.log(sinhc_2, out=sinhc_2), out=out), tail, out=out)
 
@@ -435,19 +440,18 @@ def _root(f, lo: float, hi: float, up: bool, hint) -> float:
 def _root_hint(e_gap: float, beta_c: float, beta_h: float, lo: float, hi: float,
                form: str = "K/b'") -> float | None:
     """A near-exact guess of where on (lo, hi) g crosses 0, or, with ``form``
-    "K/gamma_inf", where gamma crosses gamma(inf); None where there is none.
+    "gamma/gamma_inf", where gamma crosses gamma(inf); None where there is none.
 
     g = (a - 1)(a - K / b_alpha') vanishes off order 1 where
     F = ln a - ln(K / b_alpha') = ln a - ln sinhc z - ln cosh s + ln cosh c
-    does, and gamma = gamma(inf) where G = ln a + ln(K / gamma(inf)) vanishes.
+    does, and gamma = gamma(inf) where G = ln(gamma / gamma(inf)) vanishes.
     Six Newton steps in ln a from the geometric middle of the bracket (a
     SIGN_GRID bracket, or nu's [1e-8, 1)) use the slopes
     dF/dln a = 1 - a h (coth z - 1/z + tanh s) and
     dG/dln a = 1 + a h (coth z - 1/z - tanh s), h = (beta_c - beta_h) E / 2,
     and take the ratio by `_ln_k`'s operations in ``form`` on Python floats, so
     the guess lands near the predicate's own sign change: a median of 1 ulp
-    from the root (2 for nu), and at most 36 ulps over 3000 cells of the README
-    ranges.
+    from the root, and at most 36 ulps over 3000 cells of the README ranges.
     Steps that overflow, take the log of 0 or end outside the bracket give None.
     """
     c, h, pre = _kernel_scalars(e_gap, beta_c, beta_h, form)
@@ -463,7 +467,7 @@ def _root_hint(e_gap: float, beta_c: float, beta_h: float, lo: float, hi: float,
                 value = math.log(a) - (pre + 2.0 * max(z, 0.0, -c - z) + ln_sinhc_2 + tail)
                 slope = 1.0 - a * h * (coth + math.tanh(c + z))
             else:
-                value = math.log(a) + (pre + min(2.0 * c, -2.0 * min(z, 0.0)) + ln_sinhc_2 - tail)
+                value = pre + (min(2.0 * c, -2.0 * min(z, 0.0)) + math.log(a)) + ln_sinhc_2 - tail
                 slope = 1.0 + a * h * (coth - math.tanh(c + z))
             a *= math.exp(-value / slope)
     except (ArithmeticError, ValueError):  # an overflow, a zero slope, a log of 0
@@ -516,14 +520,13 @@ def estimate_nu(e_gap: float, beta_c: float, beta_h: float) -> float:
         return 0.0
 
     def f(k):  # ln(gamma(k) / gamma(inf)): no term of it grows with beta_c E
-        k = np.asarray(k, dtype=float)
-        return np.log(k) + _ln_k(e_gap, beta_c, beta_h, k, "K/gamma_inf")
+        return _ln_k(e_gap, beta_c, beta_h, np.asarray(k, dtype=float), "gamma/gamma_inf")
 
     lo, hi = 1e-8, 1.0 - 1e-9
     if f([lo])[0] > 0:
         return 0.0
     # the root lies above k while gamma(k) is not above its limit (nan is not)
-    return _root(f, lo, hi, False, _root_hint(e_gap, beta_c, beta_h, lo, hi, "K/gamma_inf"))
+    return _root(f, lo, hi, False, _root_hint(e_gap, beta_c, beta_h, lo, hi, "gamma/gamma_inf"))
 
 
 def infimum_location(e_gap: float, beta_c: float, beta_h: float, kappa_bar: float) -> Alpha:
@@ -554,8 +557,8 @@ def infimum_location(e_gap: float, beta_c: float, beta_h: float, kappa_bar: floa
             )
     # ln(gamma(kappa_bar) / gamma(inf)), so endpoints that both underflow (as at
     # E = 900, T = (20, 1)) still compare
-    ln_ratio = _ln_k(e_gap, beta_c, beta_h, np.array([kappa_bar]), "K/gamma_inf")[0]
-    return Alpha.of(kappa_bar) if math.log(kappa_bar) + ln_ratio <= 0.0 else Alpha.INFINITY
+    ln_ratio = _ln_k(e_gap, beta_c, beta_h, np.array([kappa_bar]), "gamma/gamma_inf")[0]
+    return Alpha.of(kappa_bar) if ln_ratio <= 0.0 else Alpha.INFINITY
 
 
 # ---------------------------------------------------------------------------
