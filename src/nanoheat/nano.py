@@ -176,16 +176,15 @@ def _ln_k(e_gap: float, beta_c: float, beta_h: float, a, form: str = "K"):
     so the terms that grow like z cancel exactly. In the ratios the terms that
     grow like c cancel too, before any rounding:
 
-        ln(K / b_alpha')          = -ln 2 - ln(1 + e^(-2c)) + max(2z, 0, -2s) + ln sinhc_2 + tail,
-        ln(gamma / gamma(inf))    = ln a + min(2c, -2 min(z, 0)) + ln(D E / 2) + ln sinhc_2 - tail,
+        ln(K / b_alpha')        = -ln 2 - ln(1 + e^(-2c)) + max(2z, 0, -2s) + ln sinhc_2 + tail,
+        ln(gamma / gamma(inf))  = ln a + min(2c, -2 min(z, 0)) + ln(D E / 2) + ln sinhc_2 - tail,
 
     with sinhc_2 = 2 e^(-|z|) sinhc(z) and tail = ln(1 + e^(-2|s|)); ln a and
     the min, which nearly cancel where gamma crosses gamma(inf), are added
-    first. Each
-    intermediate has one array that later steps overwrite in place, and every
-    order sees its operations in one fixed order, as ln K = ((pre + (|z| -
-    |s|)) + ln sinhc_2) - tail, so an array of orders gives each order the bits
-    of a call on that order alone.
+    first. Each intermediate has one array that later steps overwrite in
+    place, and every order sees its operations in one fixed order, as ln K =
+    ((pre + (|z| - |s|)) + ln sinhc_2) - tail, so an array of orders gives each
+    order the bits of a call on that order alone.
     """
     _check_qubit_params(e_gap, beta_c, beta_h)
     if (a < 0).any():
