@@ -494,17 +494,33 @@ def test_batched_roots_match_the_one_point_bisection(monkeypatch):
     assert found > 100
 
 
+def counted_g_calls(monkeypatch):
+    """A list that gets one entry per `nano.g_function` call from now on."""
+    calls = []
+    g_function = nano.g_function
+
+    def counted(*args):
+        calls.append(args)
+        return g_function(*args)
+
+    monkeypatch.setattr(nano, "g_function", counted)
+    return calls
+
+
 def test_regime_roots_and_nu_batch_their_bisection(monkeypatch):
+    g_calls = counted_g_calls(monkeypatch)
     roots = bisected = 0
     for cell in regime_map_cells(make_rng(42), 100):
-        g_searches = searches(monkeypatch, lambda: classify_regime(*cell))
+        g_calls.clear()
+        cls = classify_regime(*cell)
+        # one grid call, then at most 10 per root (about 48 with one point per call)
+        assert len(g_calls) <= 1 + 10 * len(cls.g_sign_changes)
+        roots += len(cls.g_sign_changes)
+        # nu's predicate is not g: count its calls in the search. One per 6
+        # steps: a nu near 1e-8 takes about 80 steps down to adjacent floats,
+        # so at most 14 (about 57, up to 81, with one point per call)
         nu_searches = searches(monkeypatch, lambda: estimate_nu(*cell))
-        # at most 10 calls per g root (about 48 with one point per call)
-        assert all(calls <= 10 for _, _, calls in g_searches)
-        # one call per 6 steps: a nu near 1e-8 takes about 80 steps down to
-        # adjacent floats, so at most 14 (about 57, up to 81, with one point per call)
         assert all(calls <= 14 for _, _, calls in nu_searches)
-        roots += len(g_searches)
         bisected += len(nu_searches)
     assert roots > 50 and bisected > 20
 
@@ -595,12 +611,14 @@ def searches(monkeypatch, run):
 def test_hinted_regime_roots_and_nu_take_about_one_call(monkeypatch, cells, most_g, most_nu):
     # each search gets a Newton hint of its crossing, and the first call holds
     # the whole path to it
-    g_calls, nu_calls = [], []
+    g_calls = counted_g_calls(monkeypatch)
+    g_roots, nu_calls = 0, []
     for cell in cells():
-        g_calls += [calls for _, _, calls in searches(monkeypatch, lambda: classify_regime(*cell))]
+        g_roots += len(classify_regime(*cell).g_sign_changes)
+        g_calls.pop()  # the sign grid
         nu_calls += [calls for _, _, calls in searches(monkeypatch, lambda: estimate_nu(*cell))]
-    assert len(g_calls) > 250 and len(nu_calls) > 100
-    assert sum(g_calls) / len(g_calls) <= most_g
+    assert g_roots > 250 and len(nu_calls) > 100
+    assert len(g_calls) / g_roots <= most_g
     assert sum(nu_calls) / len(nu_calls) <= most_nu
 
 

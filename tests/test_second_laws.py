@@ -506,10 +506,8 @@ NAMED_HINTS = {
     "none": lambda lo, hi, root: None,
 }
 
-#: A noisy crossing: a bracket (lo, lo + width), the root's place in it, the
-#: ulps of noise around it, the scale, curvature and direction of the values
-#: and the seed of the noise; then the search depth.
-NOISY_SEARCH = dict(
+@settings(max_examples=300, deadline=None)
+@given(
     lo=st.floats(min_value=-1e3, max_value=1e3),
     width=st.floats(min_value=1e-12, max_value=1e3),
     where=st.floats(min_value=0.0, max_value=1.0),
@@ -519,13 +517,16 @@ NOISY_SEARCH = dict(
     up=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**32),
     depth=st.sampled_from([1, 2, 6]),
+    hint=st.one_of(st.sampled_from(sorted(NAMED_HINTS)),
+                   st.floats(min_value=-0.5, max_value=1.5), st.floats()),
 )
-
-
-def check_noisy_search(lo, width, where, band, scale, bend, up, seed, depth, hint="none"):
-    """The hinted search of a noisy crossing, given ``hint`` (a NAMED_HINTS key
-    or a share of the bracket), ends at the one-point search's root and makes
-    no more calls than the tree-only search."""
+def test_a_hint_only_advises_the_guided_bisection(lo, width, where, band, scale, bend, up,
+                                                  seed, depth, hint):
+    # A noisy crossing: a bracket (lo, lo + width), the root's place in it, the
+    # ulps of noise around it, the scale, curvature and direction of the values
+    # and the seed of the noise; the search depth and a hint (a NAMED_HINTS key,
+    # "none" among them, or a share of the bracket). The hinted search ends at
+    # the one-point search's root and makes no more calls than the tree-only one
     hi = lo + width
     root = lo + where * (hi - lo)
     noisy = band * math.ulp(root)
@@ -555,19 +556,6 @@ def check_noisy_search(lo, width, where, band, scale, bend, up, seed, depth, hin
     assert second_laws._bisect_many(hinted_many, lo, hi, depth, hint) == expected
     assert tree_only_bisect_many(above_many, lo, hi, depth) == expected
     assert len(hinted_calls) <= len(tree_calls)
-
-
-@settings(max_examples=300, deadline=None)
-@given(**NOISY_SEARCH)
-def test_guided_bisection_replays_the_one_point_search(**search):
-    check_noisy_search(**search)
-
-
-@settings(max_examples=300, deadline=None)
-@given(**NOISY_SEARCH, hint=st.one_of(st.sampled_from(sorted(NAMED_HINTS)),
-                                      st.floats(min_value=-0.5, max_value=1.5), st.floats()))
-def test_a_hint_only_advises_the_guided_bisection(**search):
-    check_noisy_search(**search)
 
 
 def test_qubit_solve_batches_its_refinement(monkeypatch):
