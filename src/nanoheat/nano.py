@@ -436,6 +436,21 @@ def _root(f, lo: float, hi: float, up: bool, hint) -> float:
     return _bisect_many(lambda xs: ((f(xs) > 0) == up).tolist(), lo, hi, depth, hint)
 
 
+def _ratio_at(a: float, c: float, h: float, pre: float, form: str) -> float:
+    """F = ln a - ln(K / b_alpha') (``form`` "K/b'") or G = ln(gamma / gamma(inf))
+    ("gamma/gamma_inf") at one order a > 0 from the form's `_kernel_scalars`
+    c, h and pre: `_ln_k`'s operations in its order, on Python floats, so one
+    order costs no numpy call."""
+    z = (a - 1.0) * h
+    tail = math.log1p(math.exp(-2.0 * abs(c + z)))
+    az = max(abs(z), sys.float_info.min)
+    sinhc_2 = -math.expm1(-2.0 * az) / az
+    ln_sinhc_2 = math.log(sinhc_2) if sinhc_2 else -math.inf  # 0 only where |z| overflows
+    if form == "K/b'":
+        return math.log(a) - (pre + 2.0 * max(z, 0.0, -c - z) + ln_sinhc_2 + tail)
+    return pre + (min(2.0 * c, -2.0 * min(z, 0.0)) + math.log(a)) + ln_sinhc_2 - tail
+
+
 def _root_hint(e_gap: float, beta_c: float, beta_h: float, lo: float, hi: float,
                form: str = "K/b'") -> float | None:
     """A near-exact guess of where on (lo, hi) g crosses 0, or, with ``form``
@@ -448,27 +463,20 @@ def _root_hint(e_gap: float, beta_c: float, beta_h: float, lo: float, hi: float,
     SIGN_GRID bracket, or nu's [1e-8, 1)) use the slopes
     dF/dln a = 1 - a h (coth z - 1/z + tanh s) and
     dG/dln a = 1 + a h (coth z - 1/z - tanh s), h = (beta_c - beta_h) E / 2,
-    and take the ratio by `_ln_k`'s operations in ``form`` on Python floats, so
-    the guess lands near the predicate's own sign change: a median of 1 ulp
-    from the root, and at most 36 ulps over 3000 cells of the README ranges.
-    Steps that overflow, take the log of 0 or end outside the bracket give None.
+    and read F or G from `_ratio_at`, so the guess lands near the predicate's
+    own sign change: a median of 1 ulp from the root, and at most 36 ulps over
+    3000 cells of the README ranges. Steps that overflow, take the log of 0 or
+    end outside the bracket give None.
     """
     c, h, pre = _kernel_scalars(e_gap, beta_c, beta_h, form)
     a = math.sqrt(lo * hi)
     try:
         for _ in range(6):
             z = (a - 1.0) * h
-            tail = math.log1p(math.exp(-2.0 * abs(c + z)))
-            az = max(abs(z), sys.float_info.min)
-            ln_sinhc_2 = math.log(-math.expm1(-2.0 * az) / az)
-            coth = z / 3.0 if az < 1e-4 else 1.0 / math.tanh(z) - 1.0 / z  # coth z - 1/z
-            if form == "K/b'":
-                value = math.log(a) - (pre + 2.0 * max(z, 0.0, -c - z) + ln_sinhc_2 + tail)
-                slope = 1.0 - a * h * (coth + math.tanh(c + z))
-            else:
-                value = pre + (min(2.0 * c, -2.0 * min(z, 0.0)) + math.log(a)) + ln_sinhc_2 - tail
-                slope = 1.0 + a * h * (coth - math.tanh(c + z))
-            a *= math.exp(-value / slope)
+            coth = z / 3.0 if abs(z) < 1e-4 else 1.0 / math.tanh(z) - 1.0 / z  # coth z - 1/z
+            t = math.tanh(c + z)
+            slope = 1.0 - a * h * (coth + t) if form == "K/b'" else 1.0 + a * h * (coth - t)
+            a *= math.exp(-_ratio_at(a, c, h, pre, form) / slope)
     except (ArithmeticError, ValueError):  # an overflow, a zero slope, a log of 0
         return None
     return a if lo < a < hi else None
@@ -513,19 +521,22 @@ def estimate_nu(e_gap: float, beta_c: float, beta_h: float) -> float:
     For Omega > 1 this is the order where gamma crosses its large-order limit:
     below it the small endpoint wins the infimum even though the prediction
     says infinity. For Omega <= 1 the identity holds for every cutoff, so 0 is
-    returned. Reported, never asserted: only existence is guaranteed.
+    returned, as it is where gamma lies above its limit already at 1e-8 (read
+    by `_ratio_at`). Reported, never asserted: only existence is guaranteed.
     """
     if _regime(e_gap, beta_c, beta_h).carnot_achievable:
         return 0.0
 
-    def f(k):  # ln(gamma(k) / gamma(inf)): no term of it grows with beta_c E
-        return _ln_k(e_gap, beta_c, beta_h, np.asarray(k, dtype=float), "gamma/gamma_inf")
+    form = "gamma/gamma_inf"  # ln(gamma(k) / gamma(inf)): no term of it grows with beta_c E
+
+    def f(k):
+        return _ln_k(e_gap, beta_c, beta_h, np.asarray(k, dtype=float), form)
 
     lo, hi = 1e-8, 1.0 - 1e-9
-    if f([lo])[0] > 0:
+    if _ratio_at(lo, *_kernel_scalars(e_gap, beta_c, beta_h, form), form) > 0:
         return 0.0
     # the root lies above k while gamma(k) is not above its limit (nan is not)
-    return _root(f, lo, hi, False, _root_hint(e_gap, beta_c, beta_h, lo, hi, "gamma/gamma_inf"))
+    return _root(f, lo, hi, False, _root_hint(e_gap, beta_c, beta_h, lo, hi, form))
 
 
 def infimum_location(e_gap: float, beta_c: float, beta_h: float, kappa_bar: float) -> Alpha:
@@ -536,7 +547,9 @@ def infimum_location(e_gap: float, beta_c: float, beta_h: float, kappa_bar: floa
     orders above it; each bracket where it turns upward is bisected to its
     root, and gamma there lying below both endpoints by more than 1e-9 times
     the smaller endpoint, or 1e-9 where that endpoint is above 1, raises a
-    dichotomy violation rather than being silently accepted.
+    dichotomy violation rather than being silently accepted. The endpoints are
+    compared by `_ratio_at`'s ln(gamma(kappa_bar) / gamma(inf)), so g's is the
+    one kernel pass of a call without an upward crossing.
     """
     if not 0.0 < kappa_bar < 1.0:
         raise ParameterError("cutoff must lie in (0, 1)")
@@ -556,7 +569,8 @@ def infimum_location(e_gap: float, beta_c: float, beta_h: float, kappa_bar: floa
             )
     # ln(gamma(kappa_bar) / gamma(inf)), so endpoints that both underflow (as at
     # E = 900, T = (20, 1)) still compare
-    ln_ratio = _ln_k(e_gap, beta_c, beta_h, np.array([kappa_bar]), "gamma/gamma_inf")[0]
+    form = "gamma/gamma_inf"
+    ln_ratio = _ratio_at(kappa_bar, *_kernel_scalars(e_gap, beta_c, beta_h, form), form)
     return Alpha.of(kappa_bar) if ln_ratio <= 0.0 else Alpha.INFINITY
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -50,6 +50,10 @@ SPECULATION_BUDGET = 128
 #: 1/alpha, so anything closer than ~10/alpha_max is indistinguishable
 #: from the endpoint at the grid scale.
 TAIL_REL_TOL = 10.0 / ALPHA_GRID_MAX
+
+#: Brackets whose first bisection tree `_head_tree` keeps: ``nano``'s
+#: searches start on SIGN_GRID's 397 brackets and on nu's one.
+HEAD_TREES = 512
 
 #: Feasibility tolerance: double precision log-domain sums leave ~1e-13
 #: noise; one order of headroom.
@@ -413,6 +417,13 @@ def _bisection_tree(lo: float, hi: float, steps: int) -> list:
     return [mid, *_bisection_tree(mid, hi, steps - 1), *_bisection_tree(lo, mid, steps - 1)]
 
 
+@lru_cache(maxsize=HEAD_TREES)
+def _head_tree(lo: float, hi: float, steps: int) -> tuple:
+    """``_bisection_tree(lo, hi, steps)`` as a tuple, kept for the HEAD_TREES
+    brackets asked for last."""
+    return tuple(_bisection_tree(lo, hi, steps))
+
+
 def _guided_points(lo: float, hi: float, depth: int, hint) -> list:
     """The midpoints the bisection of (lo, hi) probes past its first ``depth``
     steps if the root lies at ``hint``, that path's bracket ``depth`` steps
@@ -454,6 +465,10 @@ def _bisect_many(above_many, lo: float, hi: float, depth: int, hint=None) -> flo
     call. It only advises: every step reads the predicate at its own midpoint,
     so the root is the one-point search's whatever it says, and a hint that is
     not finite or lies outside the bracket is ignored.
+
+    With ``depth`` above 1 the first call's tree comes from ``_head_tree``, so
+    searches that keep starting on the same brackets, as ``nano``'s do, build
+    it once per bracket; later calls, and ``_bisect``'s, build theirs.
     """
     known = {}
     while True:
@@ -461,7 +476,8 @@ def _bisect_many(above_many, lo: float, hi: float, depth: int, hint=None) -> flo
         if not lo < mid < hi:
             return mid
         if mid not in known:
-            points = _bisection_tree(lo, hi, depth) + _guided_points(lo, hi, depth, hint)
+            tree = _head_tree(lo, hi, depth) if depth > 1 and not known else _bisection_tree(lo, hi, depth)
+            points = [*tree, *_guided_points(lo, hi, depth, hint)]
             known.update(zip(points, above_many(points)))
         if known[mid]:
             lo = mid

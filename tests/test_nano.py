@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -657,6 +658,111 @@ def test_root_hints_at_the_edge_cells_abstain_without_raising(monkeypatch, e, be
         assert len(found) == 1 and hints.count(None) >= len(hints) - 2
         (hint, root, _), = found
         assert abs(hint - root) <= 256 * math.ulp(root)
+
+
+EDGE_GAPS = (1e-300, 1e-13, 709.0, 760.0, 800.0, 1000.0)
+
+
+def ratio_terms(e, beta_c, beta_h, a, form):
+    """The terms `nano._ratio_at` sums at order a in ``form``, in plain floats."""
+    c, h, pre = nano._kernel_scalars(e, beta_c, beta_h, form)
+    z = (a - 1.0) * h
+    az = max(abs(z), sys.float_info.min)
+    terms = [pre, math.log(a), math.log(-math.expm1(-2.0 * az) / az),
+             math.log1p(math.exp(-2.0 * abs(c + z)))]
+    return terms + [2.0 * max(z, 0.0, -c - z) if form == "K/b'" else min(2.0 * c, -2.0 * min(z, 0.0))]
+
+
+def test_the_scalar_ratio_agrees_with_the_kernel():
+    # G = ln(gamma / gamma(inf)), which nu's floor check and the endpoint
+    # comparison read, and the hints' F = ln a - ln(K / b_alpha'), one order at
+    # a time against `_ln_k` on an array; the bound was set before the first
+    # run: 4 ulps of the largest term, and one sign where |value| > 1e-13. Both
+    # forms read 4.0 at worst, 2 ulps of a running sum a binade above every
+    # term, and no sign differed
+    orders = np.geomspace(1e-8, 30.0, 121)
+    cells = [*regime_map_cells(make_rng(48), 200), *extreme_cells(make_rng(49), 200),
+             *((e, 1.0, 0.05) for e in EDGE_GAPS)]
+    compared = 0
+    for cell in cells:
+        for form in ("gamma/gamma_inf", "K/b'"):
+            kernel = nano._ln_k(*cell, orders, form).tolist()
+            scalars = nano._kernel_scalars(*cell, form)
+            for a, k in zip(orders.tolist(), kernel):
+                value = nano._ratio_at(a, *scalars, form)
+                expected = k if form == "gamma/gamma_inf" else math.log(a) - k
+                largest = max(abs(t) for t in ratio_terms(*cell, a, form))
+                assert abs(value - expected) <= 4 * math.ulp(largest), (cell, a, form)
+                assert abs(expected) <= 1e-13 or (value > 0) == (expected > 0), (cell, a, form)
+                compared += 1
+    assert compared == len(cells) * len(orders) * 2
+
+
+def kernel_passes(monkeypatch):
+    """A list that gets one entry per `nano._ln_k` call from now on: "g" for a
+    call inside `nano.g_function`, else "search" for one inside
+    `nano._bisect_many`, else None."""
+    passes, inside = [], []
+    for name, tag in (("g_function", "g"), ("_bisect_many", "search")):
+        def tagged(*args, _fn=getattr(nano, name), _tag=tag):
+            inside.append(_tag)
+            try:
+                return _fn(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(nano, name, tagged)
+    ln_k = nano._ln_k
+
+    def counted(*args):
+        passes.append(inside[-1] if inside else None)
+        return ln_k(*args)
+
+    monkeypatch.setattr(nano, "_ln_k", counted)
+    return passes
+
+
+def test_threshold_checks_make_no_kernel_pass_of_their_own(monkeypatch):
+    # nu's check at 1e-8 and the endpoint comparison at kappa_bar read G from
+    # `_ratio_at`: nu's only passes are its search's, and infimum_location's
+    # only pass is g's where g turns upward nowhere above kappa_bar (its floor
+    # in the regime_map workload). 5.30 passes per cell before, 3.67 when the
+    # bound was set
+    passes = kernel_passes(monkeypatch)
+    total = cells = plain = 0
+    for cell in regime_map_cells(make_rng(43), 600):
+        classify_regime(*cell)
+        total += len(passes)
+        passes.clear()
+        nu = estimate_nu(*cell)
+        assert all(p == "search" for p in passes), (cell, passes)
+        total += len(passes)
+        kappa_bar = min(max(0.8, nu + 0.01), 0.999)
+        orders = np.concatenate(([kappa_bar], nano.SIGN_GRID[nano.SIGN_GRID > kappa_bar]))
+        up = g_function(*cell, orders) > 0
+        passes.clear()
+        infimum_location(*cell, kappa_bar)
+        if not (~up[:-1] & up[1:]).any():
+            assert passes == ["g"], (cell, kappa_bar, passes)
+            plain += 1
+        total += len(passes)
+        passes.clear()
+        cells += 1
+    assert plain > 500
+    assert total / cells <= 3.7
+
+
+def test_regime_searches_start_from_kept_trees():
+    # every g search starts on a SIGN_GRID bracket and every nu search on
+    # (1e-8, 1 - 1e-9), so the first trees come from few brackets: 265 kept
+    # and 94.5% of first calls served when the bounds were set
+    second_laws._head_tree.cache_clear()
+    for cell in regime_map_cells(make_rng(50), 3000):
+        classify_regime(*cell)
+        estimate_nu(*cell)
+    info = second_laws._head_tree.cache_info()
+    assert info.currsize <= 400
+    assert info.hits >= 0.9 * (info.hits + info.misses) > 0
 
 
 def test_every_reader_gives_one_verdict_at_the_omega_crossing(tmp_path):

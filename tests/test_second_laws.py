@@ -471,6 +471,19 @@ def test_batched_bisection_replays_the_one_point_search(predicate, bracket, dept
     assert set(visits) <= {x for batch in batches for x in batch}
 
 
+@pytest.mark.parametrize("depth", [1, 2, 6, 7])
+@pytest.mark.parametrize("bracket", sorted(BRACKETS))
+def test_a_kept_head_tree_is_the_built_one(bracket, depth):
+    # the memo hands out the floats of `_bisection_tree`, bit for bit and in
+    # its order, on the call that builds the entry and on the one that reads it
+    lo, hi = BRACKETS[bracket]
+    built = [x.hex() for x in second_laws._bisection_tree(lo, hi, depth)]
+    second_laws._head_tree.cache_clear()
+    for hits in (0, 1):
+        assert [x.hex() for x in second_laws._head_tree(lo, hi, depth)] == built
+        assert second_laws._head_tree.cache_info().hits == hits
+
+
 def tree_only_bisect_many(above_many, lo, hi, depth):
     """Reference: the batched bisection without a hint, one tree of the next
     ``depth`` steps per call."""
